@@ -136,3 +136,23 @@ func TestSmoke(t *testing.T) {
 		}
 	}
 }
+
+// TestClimbBisectsTheKnee checks the rate ladder: it climbs the coarse
+// rungs until one fails, then bisects towards the knee and reports the
+// achieved rate of the highest rate that passed.
+func TestClimbBisectsTheKnee(t *testing.T) {
+	for _, c := range []struct{ knee, want float64 }{
+		{190, 187.5},  // 150 passes, 225 fails: 187.5 ok, 206.25 and 196.875 fail
+		{1000, 500},   // every rung passes
+		{120, 118.75}, // 100 passes, 150 fails: 125 fails, 112.5 and 118.75 pass
+	} {
+		var tried []float64
+		got := climb(func(rate float64) (float64, bool) {
+			tried = append(tried, rate)
+			return rate, rate <= c.knee
+		})
+		if got != c.want {
+			t.Errorf("knee %v: climb = %v after rungs %v, want %v", c.knee, got, tried, c.want)
+		}
+	}
+}

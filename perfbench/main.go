@@ -44,19 +44,30 @@ type spec struct {
 type workloadSpec struct {
 	Name string `json:"name"`
 	// TargetLoss is the trailing-20 mean train loss time_to_target_s
-	// waits for (training), TargetIter the snapshot iteration the fleet
-	// must serve (serving).
+	// waits for (training); TargetIter is how many iterations the
+	// gateway must train while the fleet serves (serving).
 	TargetLoss float64 `json:"target_loss,omitempty"`
 	TargetIter int     `json:"target_iter,omitempty"`
-	// FinalLoss bounds the run's mean trailing loss after the fixed
-	// iteration count: the across-seed spread, widened.
-	FinalLoss struct {
-		Lo float64 `json:"lo"`
-		Hi float64 `json:"hi"`
-	} `json:"final_loss"`
+	// FinalLoss is the across-seed distribution of one launch's trailing
+	// loss after the fixed iteration count.
+	FinalLoss lossBand `json:"final_loss"`
 	// Curves maps a launch seed to the digest of the loss curve recorded
 	// for it; a match is reported, not required.
 	Curves map[string]string `json:"curves,omitempty"`
+}
+
+// lossBand holds the mean and standard deviation of one launch's final
+// trailing loss over many launch seeds. A run's mean over its k
+// launches must lie within Z standard errors (SD/√k) of Mean.
+type lossBand struct {
+	Mean float64 `json:"mean"`
+	SD   float64 `json:"sd"`
+	Z    float64 `json:"z"`
+}
+
+func (b lossBand) bounds(k int) (lo, hi float64) {
+	h := b.Z * b.SD / math.Sqrt(float64(k))
+	return b.Mean - h, b.Mean + h
 }
 
 type metricDef struct {

@@ -13,25 +13,19 @@ import (
 	"repro/poseidon"
 )
 
-// runSessionChild is `perfbench child session`: the untraced
-// train-mlp-wan run. Every worker is one poseidon.Session over a
-// channel-mesh endpoint behind a modeled link, all in this process. It
-// prints the same lines poseidon-cluster relays from its workers
-// ("[w<rank>] worker <rank> iter ...", LOSS, PARAMS, METRICS), so one
-// parser reads both.
+// runSessionChild is `perfbench child session -seed N`: one untraced
+// train-mlp-wan launch. Every worker is one poseidon.Session over a
+// channel-mesh endpoint behind the task's modeled link, all in this
+// process. It prints the same lines poseidon-cluster relays from its
+// workers ("[w<rank>] worker <rank> iter ...", LOSS, PARAMS, METRICS),
+// so one parser reads both.
 func runSessionChild(args []string) error {
 	fs := flag.NewFlagSet("session", flag.ContinueOnError)
-	model := fs.String("model", "mlp", "cnn or mlp")
 	seed := fs.Int64("seed", 1, "data and model seed")
-	iters := fs.Int("iters", 60, "training iterations")
-	workers := fs.Int("workers", 2, "ranks")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	t, err := taskFor(*model)
-	if err != nil {
-		return err
-	}
+	t, _ := taskFor("mlp")
 	trainSet, testSet := cliflags.ReferenceData(*seed)
 	var out sync.Mutex
 	say := func(format string, a ...any) {
@@ -40,21 +34,18 @@ func runSessionChild(args []string) error {
 		out.Unlock()
 	}
 
-	chans := transport.NewChanCluster(*workers)
-	sessions := make([]*poseidon.Session, *workers)
-	wires := make([]*metrics.WireStats, *workers)
+	chans := transport.NewChanCluster(workers)
+	sessions := make([]*poseidon.Session, workers)
+	wires := make([]*metrics.WireStats, workers)
 	for r := range sessions {
-		var mesh transport.Mesh = chans[r]
-		if t.linkBPS > 0 {
-			mesh = transport.NewDelayMesh(mesh, t.linkBPS, t.linkLatency)
-		}
+		mesh := transport.NewDelayMesh(chans[r], t.linkBPS, t.linkLatency)
 		wires[r] = metrics.NewComm().Wire()
 		rank := r
 		b := poseidon.NewSession().
 			Mesh(transport.NewMeteredMesh(mesh, wires[r])).
-			Iterations(*iters).Batch(t.batch).LearningRate(learningRate).Seed(*seed).
+			Iterations(launchIters).Batch(t.batch).LearningRate(learningRate).Seed(*seed).
 			Mode(poseidon.Hybrid).Overlap(true).
-			Model(t.builder()).Data(trainSet, testSet).EvalEvery(t.evalEvery).
+			Model(t.builder()).Data(trainSet, testSet).
 			CollectMetrics().
 			OnProgress(func(p poseidon.Point) {
 				say("[w%d] worker %d iter %3d loss %.4f", rank, rank, p.Iter+1, p.TrainLoss)
@@ -65,8 +56,8 @@ func runSessionChild(args []string) error {
 		}
 		sessions[r] = s
 	}
-	results := make([]*poseidon.Result, *workers)
-	errs := make([]error, *workers)
+	results := make([]*poseidon.Result, workers)
+	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	for r, s := range sessions {
 		wg.Add(1)

@@ -105,7 +105,7 @@ func startLaunch(o *options, seed int64) (*launch, error) {
 		}, logw)
 	} else {
 		p, err = startProc("perfbench child session", filepath.Join(o.bin, "perfbench"), []string{
-			"child", "session", "-model", "mlp", "-workers", strconv.Itoa(workers), "-iters", n, "-seed", s,
+			"child", "session", "-seed", s,
 		}, logw)
 	}
 	if err != nil {
@@ -185,7 +185,7 @@ func runTrain(o *options, rep *report) error {
 	}
 	t, _ := taskFor(modelOf(o.name))
 	w := o.workload()
-	target, lo, hi := w.TargetLoss, w.FinalLoss.Lo, w.FinalLoss.Hi
+	target := w.TargetLoss
 	k := launchCount(o.seconds)
 	rep.attempted = k
 	var (
@@ -236,9 +236,11 @@ func runTrain(o *options, rep *report) error {
 	rep.check("trailing loss reaches the target", 2*misses < len(ls),
 		"trailing-%d loss reached %.3g in %d of %d launches", lossWindow, target, len(ls)-misses, len(ls))
 	fl := mean(finals)
+	lo, hi := w.FinalLoss.bounds(len(finals))
 	rep.check(fmt.Sprintf("loss after %d iterations in recorded spread", launchIters), fl >= lo && fl <= hi,
-		"mean trailing-%d loss %.4f (launches %.4f..%.4f), recorded [%.4f, %.4f]",
-		lossWindow, fl, quantile(finals, 0), quantile(finals, 1), lo, hi)
+		"mean trailing-%d loss %.4f over %d launches (each %.4f..%.4f), recorded %.4f ± %.4f/√%d×%g = [%.4f, %.4f]",
+		lossWindow, fl, len(finals), quantile(finals, 0), quantile(finals, 1),
+		w.FinalLoss.Mean, w.FinalLoss.SD, len(finals), w.FinalLoss.Z, lo, hi)
 	// Bit-equality with the recorded curves is information only: a
 	// kernel that reassociates its sums changes the bits, not the
 	// training.
