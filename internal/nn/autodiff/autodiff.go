@@ -136,8 +136,13 @@ func (f *FC) BorrowSufficientFactor() *tensor.SufficientFactor {
 
 // ---- Convolution -----------------------------------------------------------
 
-// Conv2D is a naive direct convolution over C×H×W inputs flattened
-// row-major as (c*H+h)*W+w.
+// Conv2D is a 2-D convolution over C×H×W inputs flattened row-major as
+// (c*H+h)*W+w. Its forward pass unrolls one sample at a time into a
+// column buffer (im2col: one row of InC·K·K taps per output position)
+// and multiplies it by W with a register-blocked GEMM. Each output
+// starts from its bias and adds w[k]·col[k] in ascending
+// k = (ic·K+kh)·K+kw — the direct convolution's summation order, so the
+// outputs are bit-identical to it.
 type Conv2D struct {
 	LayerName            string
 	InC, InH, InW        int
@@ -147,6 +152,7 @@ type Conv2D struct {
 	GW, GB               *tensor.Matrix
 
 	lastX *tensor.Matrix
+	col   []float32 // Forward's column scratch, one sample's worth
 }
 
 // NewConv2D builds a conv layer with He initialization.
@@ -176,47 +182,105 @@ func (c *Conv2D) Name() string { return c.LayerName }
 func (c *Conv2D) inIdx(ch, h, w int) int  { return (ch*c.InH+h)*c.InW + w }
 func (c *Conv2D) outIdx(ch, h, w int) int { return (ch*c.OutH+h)*c.OutW + w }
 
-// Forward runs the direct convolution for every sample in the batch.
+// colLen is the length of the column scratch forwardInto needs: one
+// sample's OutH·OutW rows of InC·K·K taps.
+func (c *Conv2D) colLen() int { return c.OutH * c.OutW * c.W.Cols }
+
+// Forward convolves every sample in the batch.
 func (c *Conv2D) Forward(x *tensor.Matrix) *tensor.Matrix {
 	c.lastX = x
+	if len(c.col) < c.colLen() {
+		c.col = make([]float32, c.colLen())
+	}
 	y := tensor.NewMatrix(x.Rows, c.OutC*c.OutH*c.OutW)
-	c.forwardInto(y, x)
+	c.forwardInto(y, x, c.col)
 	return y
 }
 
-// forwardInto runs the direct convolution into dst (x.Rows ×
-// OutC·OutH·OutW, every cell overwritten) without touching training
-// state — shared by Forward and the gradient-free Predictor path.
-func (c *Conv2D) forwardInto(y, x *tensor.Matrix) {
+// forwardInto convolves x into y (x.Rows × OutC·OutH·OutW, every cell
+// overwritten) without touching training state — shared by Forward and
+// the gradient-free Predictor path. col is the caller's scratch of at
+// least colLen floats; it must not be shared with a concurrent call.
+func (c *Conv2D) forwardInto(y, x *tensor.Matrix, col []float32) {
+	col = col[:c.colLen()]
 	for s := 0; s < x.Rows; s++ {
-		in := x.Row(s)
-		out := y.Row(s)
-		for oc := 0; oc < c.OutC; oc++ {
-			wrow := c.W.Row(oc)
-			bias := c.B.Data[oc]
-			for oh := 0; oh < c.OutH; oh++ {
-				for ow := 0; ow < c.OutW; ow++ {
-					sum := bias
-					for ic := 0; ic < c.InC; ic++ {
-						for kh := 0; kh < c.K; kh++ {
-							ih := oh*c.Stride + kh - c.Pad
-							if ih < 0 || ih >= c.InH {
-								continue
-							}
-							for kw := 0; kw < c.K; kw++ {
-								iw := ow*c.Stride + kw - c.Pad
-								if iw < 0 || iw >= c.InW {
-									continue
-								}
-								sum += wrow[(ic*c.K+kh)*c.K+kw] * in[c.inIdx(ic, ih, iw)]
-							}
+		c.im2col(col, x.Row(s))
+		c.gemm(y.Row(s), col)
+	}
+}
+
+// im2col writes one sample's patches into col: row p = oh·OutW+ow holds
+// the InC·K·K taps that output position p reads, in the order
+// (ic·K+kh)·K+kw. Taps that fall in the padding are exact zeros.
+func (c *Conv2D) im2col(col, in []float32) {
+	i := 0
+	for oh := 0; oh < c.OutH; oh++ {
+		for ow := 0; ow < c.OutW; ow++ {
+			iw0 := ow*c.Stride - c.Pad
+			for ic := 0; ic < c.InC; ic++ {
+				for kh := 0; kh < c.K; kh++ {
+					dst := col[i : i+c.K]
+					i += c.K
+					ih := oh*c.Stride + kh - c.Pad
+					if ih < 0 || ih >= c.InH {
+						clear(dst)
+						continue
+					}
+					row := in[c.inIdx(ic, ih, 0) : c.inIdx(ic, ih, 0)+c.InW]
+					for kw := range dst {
+						if iw := iw0 + kw; uint(iw) < uint(len(row)) {
+							dst[kw] = row[iw]
+						} else {
+							dst[kw] = 0
 						}
 					}
-					out[c.outIdx(oc, oh, ow)] = sum
 				}
 			}
 		}
 	}
+}
+
+// gemm computes out[oc·P+p] = B[oc] + Σk W[oc][k]·col[p][k] for one
+// sample, P = OutH·OutW, adding the products one at a time in ascending
+// k with no reassociation. A padded tap adds w·0, which for finite w
+// changes no sum but an exact -0, so the result equals the direct
+// convolution's, which skips those taps. Four output channels share
+// each pass over a column row, their sums held in registers; leftover
+// channels take dot.
+func (c *Conv2D) gemm(out, col []float32) {
+	kk, np := c.W.Cols, c.OutH*c.OutW
+	oc := 0
+	for ; oc+4 <= c.OutC; oc += 4 {
+		w0, w1, w2, w3 := c.W.Row(oc), c.W.Row(oc+1), c.W.Row(oc+2), c.W.Row(oc+3)
+		b0, b1, b2, b3 := c.B.Data[oc], c.B.Data[oc+1], c.B.Data[oc+2], c.B.Data[oc+3]
+		for p := 0; p < np; p++ {
+			x := col[p*kk : (p+1)*kk]
+			w0, w1, w2, w3 = w0[:len(x)], w1[:len(x)], w2[:len(x)], w3[:len(x)]
+			s0, s1, s2, s3 := b0, b1, b2, b3
+			for k, v := range x {
+				s0 += w0[k] * v
+				s1 += w1[k] * v
+				s2 += w2[k] * v
+				s3 += w3[k] * v
+			}
+			out[oc*np+p], out[(oc+1)*np+p], out[(oc+2)*np+p], out[(oc+3)*np+p] = s0, s1, s2, s3
+		}
+	}
+	for ; oc < c.OutC; oc++ {
+		w, b := c.W.Row(oc), c.B.Data[oc]
+		for p := 0; p < np; p++ {
+			out[oc*np+p] = dot(b, w, col[p*kk:(p+1)*kk])
+		}
+	}
+}
+
+// dot returns b + Σk w[k]·x[k], summed in ascending k.
+func dot(b float32, w, x []float32) float32 {
+	x = x[:len(w)]
+	for k, v := range w {
+		b += v * x[k]
+	}
+	return b
 }
 
 // Backward accumulates weight/bias gradients and returns dx.

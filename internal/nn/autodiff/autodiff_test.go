@@ -187,3 +187,74 @@ func TestConvOutputShapePanic(t *testing.T) {
 	}()
 	NewConv2D("bad", 1, 2, 2, 1, 5, 1, 0, rng)
 }
+
+// directConvForward is the direct convolution Conv2D.forwardInto
+// replaced, kept as its oracle: each output starts from its bias and
+// adds w·x over the in-bounds taps in ascending (ic·K+kh)·K+kw order.
+func directConvForward(c *Conv2D, y, x *tensor.Matrix) {
+	for s := 0; s < x.Rows; s++ {
+		in := x.Row(s)
+		out := y.Row(s)
+		for oc := 0; oc < c.OutC; oc++ {
+			wrow := c.W.Row(oc)
+			bias := c.B.Data[oc]
+			for oh := 0; oh < c.OutH; oh++ {
+				for ow := 0; ow < c.OutW; ow++ {
+					sum := bias
+					for ic := 0; ic < c.InC; ic++ {
+						for kh := 0; kh < c.K; kh++ {
+							ih := oh*c.Stride + kh - c.Pad
+							if ih < 0 || ih >= c.InH {
+								continue
+							}
+							for kw := 0; kw < c.K; kw++ {
+								iw := ow*c.Stride + kw - c.Pad
+								if iw < 0 || iw >= c.InW {
+									continue
+								}
+								sum += wrow[(ic*c.K+kh)*c.K+kw] * in[c.inIdx(ic, ih, iw)]
+							}
+						}
+					}
+					out[c.outIdx(oc, oh, ow)] = sum
+				}
+			}
+		}
+	}
+}
+
+// TestConvForwardMatchesDirect demands that the im2col + GEMM forward
+// pass reproduces the direct convolution bit for bit, on the reference
+// layers and on shapes that reach every edge of the blocking: strides,
+// no padding, odd output-channel and position counts, a 1×1 output.
+func TestConvForwardMatchesDirect(t *testing.T) {
+	cases := []struct {
+		name                           string
+		inC, inH, inW, outC, k, st, pd int
+	}{
+		{"conv1", 3, 8, 8, 16, 5, 1, 2},
+		{"conv2", 16, 4, 4, 16, 5, 1, 2},
+		{"stride2", 3, 9, 9, 8, 3, 2, 1},
+		{"pad0", 4, 7, 7, 8, 3, 1, 0},
+		{"k3", 5, 6, 6, 8, 3, 1, 1},
+		{"outc6", 3, 6, 5, 6, 3, 1, 1},
+		{"outc3", 2, 5, 5, 3, 5, 1, 2},
+		{"out1x1", 3, 5, 5, 7, 5, 1, 0},
+	}
+	rng := rand.New(rand.NewSource(11))
+	for _, tc := range cases {
+		c := NewConv2D(tc.name, tc.inC, tc.inH, tc.inW, tc.outC, tc.k, tc.st, tc.pd, rng)
+		c.B.Randn(rng, 1)
+		for _, rows := range []int{1, 8, 256} {
+			x := randBatch(rng, rows, tc.inC*tc.inH*tc.inW)
+			want := tensor.NewMatrix(rows, c.OutC*c.OutH*c.OutW)
+			directConvForward(c, want, x)
+			got := c.Forward(x)
+			for i, v := range want.Data {
+				if math.Float32bits(got.Data[i]) != math.Float32bits(v) {
+					t.Fatalf("%s rows=%d: out[%d] = %g, direct %g", tc.name, rows, i, got.Data[i], v)
+				}
+			}
+		}
+	}
+}

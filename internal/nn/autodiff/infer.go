@@ -18,6 +18,7 @@ import (
 type Predictor struct {
 	net  *Network
 	bufs []*tensor.Matrix
+	col  []float32 // conv column scratch, sized to the largest layer's
 }
 
 // NewPredictor wraps net for inference. The network's parameters stay
@@ -80,7 +81,10 @@ func (p *Predictor) Forward(x *tensor.Matrix) *tensor.Matrix {
 			}
 		case *Conv2D:
 			dst.Resize(x.Rows, l.OutC*l.OutH*l.OutW)
-			l.forwardInto(dst, x)
+			if len(p.col) < l.colLen() {
+				p.col = make([]float32, l.colLen())
+			}
+			l.forwardInto(dst, x, p.col)
 		case *ReLU:
 			dst.Resize(x.Rows, x.Cols)
 			for k, v := range x.Data {

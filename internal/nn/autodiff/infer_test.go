@@ -1,6 +1,7 @@
 package autodiff
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -17,8 +18,8 @@ func randBatch(rng *rand.Rand, rows, cols int) *tensor.Matrix {
 
 // TestPredictorMatchesForward demands bit-identical logits between the
 // training Forward chain and the gradient-free Predictor, across both
-// reference architectures and shrinking/growing batch sizes (the
-// scratch-reuse path).
+// reference architectures (with non-zero biases) and shrinking/growing
+// batch sizes (the scratch-reuse path).
 func TestPredictorMatchesForward(t *testing.T) {
 	nets := map[string]*Network{}
 	{
@@ -31,7 +32,12 @@ func TestPredictorMatchesForward(t *testing.T) {
 	for name, net := range nets {
 		p := NewPredictor(net)
 		rng := rand.New(rand.NewSource(99))
-		for _, rows := range []int{4, 1, 16, 3} {
+		for _, l := range net.Layers {
+			if ps := l.Params(); len(ps) == 2 {
+				ps[1].Randn(rng, 1)
+			}
+		}
+		for _, rows := range []int{4, 1, 16, 3, 256} {
 			x := randBatch(rng, rows, net.InputDims())
 			want := net.Forward(x)
 			got := p.Forward(x)
@@ -40,7 +46,7 @@ func TestPredictorMatchesForward(t *testing.T) {
 					name, rows, got.Rows, got.Cols, want.Rows, want.Cols)
 			}
 			for i, v := range want.Data {
-				if got.Data[i] != v {
+				if math.Float32bits(got.Data[i]) != math.Float32bits(v) {
 					t.Fatalf("%s rows=%d: logit[%d] = %g, want %g", name, rows, i, got.Data[i], v)
 				}
 			}

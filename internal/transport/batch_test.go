@@ -46,7 +46,7 @@ func TestChanMeshSendBatch(t *testing.T) {
 }
 
 func TestTCPMeshSendBatch(t *testing.T) {
-	addrs := tcpAddrs(2, 42300)
+	addrs := freeAddrs(t, 2)
 	ms := dialPair(t, addrs)
 	defer ms[0].Close()
 	defer ms[1].Close()
@@ -114,7 +114,7 @@ func dialPair(t *testing.T, addrs []string) [2]*TCPMesh {
 // the common case; with pooled frame buffers in play, interleaved
 // writers must neither corrupt frames nor race (run with -race).
 func TestTCPMeshConcurrentSendAndBatch(t *testing.T) {
-	addrs := tcpAddrs(2, 42400)
+	addrs := freeAddrs(t, 2)
 	ms := dialPair(t, addrs)
 	defer ms[0].Close()
 	defer ms[1].Close()

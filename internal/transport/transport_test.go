@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 )
@@ -95,16 +94,8 @@ func TestChanMeshManyToOne(t *testing.T) {
 	}
 }
 
-func tcpAddrs(n, base int) []string {
-	var a []string
-	for i := 0; i < n; i++ {
-		a = append(a, fmt.Sprintf("127.0.0.1:%d", base+i))
-	}
-	return a
-}
-
 func TestTCPMeshPairwise(t *testing.T) {
-	addrs := tcpAddrs(3, 42100)
+	addrs := freeAddrs(t, 3)
 	var ms [3]*TCPMesh
 	var wg sync.WaitGroup
 	errs := make(chan error, 3)
@@ -162,7 +153,7 @@ func TestTCPMeshPairwise(t *testing.T) {
 }
 
 func TestTCPMeshConcurrentSenders(t *testing.T) {
-	addrs := tcpAddrs(2, 42200)
+	addrs := freeAddrs(t, 2)
 	var ms [2]*TCPMesh
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
