@@ -46,7 +46,7 @@ func run() int {
 	killAfter := flag.String("kill-after", "", "chaos: SIGKILL one worker mid-training, format iter:rank — fires once that rank prints a progress line at or past iter (use -print-every 1 for exact timing); that death is expected, so it alone does not fail the cluster")
 	joinAfter := flag.Int("join-after", 0, "chaos: once any worker prints a progress line at or past this iteration, spawn one extra worker that joins the live cluster (reserves capacity n+1; requires -elastic and -transport tcp)")
 	leaveAt := flag.String("leave-at", "", "schedule a graceful departure, format iter:rank — that worker announces leave at iter (requires -elastic)")
-	snapshotDir := flag.String("snapshot-dir", "", "have each worker write its adopted replica snapshot to DIR/snap-<id>.bin at every membership change (requires -elastic)")
+	snapshotDir := flag.String("snapshot-dir", "", "have each worker write its adopted replica snapshot to DIR/snap-<id>.bin at every committed barrier, planned replan barriers included (requires -elastic)")
 	flag.Parse()
 
 	if *n < 1 {

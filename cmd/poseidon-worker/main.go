@@ -77,8 +77,10 @@ func main() {
 		}
 	})
 	if nf.Elastic {
-		// One VIEW line per committed membership transition, mirrored on
-		// every member — the e2e suite keys re-formation off it. The
+		// One VIEW line per committed barrier — a membership transition
+		// or, with replanning, a planned barrier that keeps the members —
+		// mirrored on every member; the e2e suite keys re-formation off
+		// it. The
 		// snapshot carries the barrier's adopted replica so a reference
 		// run can continue from exactly this point.
 		b.OnMembershipChange(func(ev poseidon.MembershipEvent) {

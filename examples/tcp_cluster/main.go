@@ -6,9 +6,10 @@
 // for conv layers, sufficient-factor broadcasting for FC layers. The
 // run is seeded with a deliberately optimistic -bw claim and
 // -replan-every, so the cluster re-measures its real wire rate at the
-// epoch barriers and re-routes live (watch for REPLAN route flips in
-// the METRICS lines) — and the replica digests still agree, because
-// route swaps happen at clock-stamped round barriers on every worker.
+// epoch barriers and re-routes live (watch for replan_events route
+// flips in the METRICS lines) — and the replica digests still agree,
+// because route swaps happen at the same planned barrier on every
+// worker.
 //
 //	go run ./examples/tcp_cluster
 //

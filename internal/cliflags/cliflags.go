@@ -161,7 +161,7 @@ func RegisterNode(fs *flag.FlagSet) *Node {
 	fs.IntVar(&n.LeaveAt, "leave-at", 0, "announce a graceful departure at this iteration (elastic)")
 	fs.IntVar(&n.StartIter, "start-iter", 0, "resume training at this iteration instead of 0 (usually with -load-params)")
 	fs.StringVar(&n.LoadParams, "load-params", "", "binary parameter snapshot to resume from (as written by -snapshot-out); its restart iteration applies unless -start-iter is set")
-	fs.StringVar(&n.SnapshotOut, "snapshot-out", "", "write the adopted replica snapshot to this file at every membership change")
+	fs.StringVar(&n.SnapshotOut, "snapshot-out", "", "write the adopted replica snapshot to this file at every committed barrier (membership change or planned replan barrier)")
 	return n
 }
 

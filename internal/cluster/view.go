@@ -3,8 +3,8 @@
 // and every layer that used to hard-code a fixed mesh size N — the
 // transport's peer lifecycle, the comm router's shard/group sizing, the
 // planner's ClusterShape, the trainer's data sharding — now derives it
-// from the current View instead. Views advance only at membership
-// barriers (the generalization of the replan barrier), so an epoch
+// from the current View instead. Views advance only at view-change
+// barriers (membership changes and planned replans alike), so an epoch
 // number fully determines who participated in every fold of that
 // epoch — the property that keeps replicas byte-identical across
 // join/leave/crash transitions.

@@ -165,7 +165,7 @@ func (s *ringSyncer) chainStep(rd *ringRound, out *[]ringOut, iter, seg int, val
 	if s.id == (seg-1+s.n)%s.n {
 		// Final reducer: sum folds all P updates in rank order seg,
 		// seg+1, …, seg−1. Apply and redistribute.
-		s.applyLocked(seg, sum)
+		s.applySegmentLocked(seg, sum)
 		rd.applied++
 		s.prepare(out, transport.MsgRingGather, iter, seg, s.n+seg, sum)
 	} else {
@@ -174,9 +174,9 @@ func (s *ringSyncer) chainStep(rd *ringRound, out *[]ringOut, iter, seg int, val
 	return nil
 }
 
-// applyLocked adds a fully-reduced segment to the staged replica.
+// applySegmentLocked adds a fully-reduced segment to the staged replica.
 // Caller holds mu; stageMu nests inside.
-func (s *ringSyncer) applyLocked(seg int, vals []float32) {
+func (s *ringSyncer) applySegmentLocked(seg int, vals []float32) {
 	off, _ := segRange(seg, s.elems, s.n)
 	s.r.stageMu.Lock()
 	st := s.r.staged[s.plan.Index].Data[off : off+len(vals)]
@@ -265,7 +265,7 @@ func (s *ringSyncer) Handle(msg transport.Message) error {
 		}
 		s.mu.Lock()
 		rd := s.round(iter)
-		s.applyLocked(seg, vals)
+		s.applySegmentLocked(seg, vals)
 		rd.applied++
 		// Forward along the ring unless the successor is the segment's
 		// final reducer, which already applied its own fold.
@@ -287,7 +287,7 @@ func (s *ringSyncer) Handle(msg transport.Message) error {
 	}
 }
 
-// Close has nothing to release: the reroute barrier drained every
+// Close has nothing to release: a planned barrier drained every
 // round, so no chain, parked frame, or partial sum survives, and the
 // staged replica already carries the authoritative value the successor
 // route re-seeds from.
@@ -446,8 +446,8 @@ func (s *treeRingSyncer) flush(out []ringOut) []ringOut {
 // intraSucc returns the next member on this group's ring.
 func (s *treeRingSyncer) intraSucc() int { return s.base + (s.ri+1)%s.sz }
 
-// applyLocked adds a globally-reduced segment to the staged replica.
-func (s *treeRingSyncer) applyLocked(seg int, vals []float32) {
+// applySegmentLocked adds a globally-reduced segment to the staged replica.
+func (s *treeRingSyncer) applySegmentLocked(seg int, vals []float32) {
 	off, _ := segRange(seg, s.elems, s.gsize)
 	s.r.stageMu.Lock()
 	st := s.r.staged[s.plan.Index].Data[off : off+len(vals)]
@@ -460,7 +460,7 @@ func (s *treeRingSyncer) applyLocked(seg int, vals []float32) {
 // globalFinal installs segment k's fully-reduced value at a leader and
 // starts its intra-group redistribution.
 func (s *treeRingSyncer) globalFinal(rd *treeRound, out *[]ringOut, iter, k int, vals []float32) {
-	s.applyLocked(k, vals)
+	s.applySegmentLocked(k, vals)
 	rd.applied++
 	if s.sz > 1 {
 		s.prepare(out, transport.MsgRingGather, iter, k, s.gsize+k, s.intraSucc(), vals)
@@ -654,7 +654,7 @@ func (s *treeRingSyncer) Handle(msg transport.Message) error {
 	case msg.Type == transport.MsgRingGather && !inter:
 		s.mu.Lock()
 		rd := s.round(iter)
-		s.applyLocked(k, vals)
+		s.applySegmentLocked(k, vals)
 		rd.applied++
 		// Forward within the group unless the successor is the leader
 		// that originated this gather.

@@ -251,11 +251,11 @@ func TestRingFoldBitDeterminism(t *testing.T) {
 	}
 }
 
-// The satellite's reroute round trip: PS→ring at iteration 2, ring→SFB
-// at iteration 4, on a live 3-node cluster — exact sums through both
-// handoffs, flip counts and replan events on every node, and zero
-// payload-lease leaks. Run under -race in CI, this pins the
-// ring syncer's receive-loop/barrier-swap synchronization.
+// The reroute round trip through the collectives: PS→ring at iteration
+// 2, ring→SFB at iteration 4, as planned barriers on a live 3-node
+// cluster — exact sums through both handoffs, replan events on every
+// node, and zero payload-lease leaks. Run under -race in CI, this pins
+// the ring syncer's receive-loop/barrier-swap synchronization.
 func TestRouterRerouteRingRoundTrip(t *testing.T) {
 	for _, overlap := range []bool{false, true} {
 		baseline := transport.OutstandingPayloadLeases()
@@ -269,7 +269,9 @@ func TestRouterRerouteRingRoundTrip(t *testing.T) {
 		meshes := transport.NewChanCluster(n)
 		routers := make([]*Router, n)
 		mtrs := make([]*metrics.Comm, n)
+		at := make([]int, n)
 		for node := 0; node < n; node++ {
+			node := node
 			mtrs[node] = metrics.NewComm()
 			r, err := NewRouter(Config{
 				Mesh: meshes[node],
@@ -281,20 +283,24 @@ func TestRouterRerouteRingRoundTrip(t *testing.T) {
 				Scale:   1,
 				Overlap: overlap,
 				Metrics: mtrs[node],
-				SFSource: func(node int) func(index int) func() *tensor.SufficientFactor {
-					return func(index int) func() *tensor.SufficientFactor {
-						if index != 1 {
-							return nil
-						}
-						return func() *tensor.SufficientFactor {
-							u := tensor.NewMatrix(1, 2)
-							u.Fill(float32(node + 1))
-							v := tensor.NewMatrix(1, 3)
-							v.Fill(1)
-							return &tensor.SufficientFactor{U: u, V: v}
-						}
+				PlanShape: func(int) ([]ParamPlan, error) {
+					return []ParamPlan{
+						{Index: 0, Rows: 4, Cols: 6, Route: RoutePS},
+						{Index: 1, Rows: 2, Cols: 3, Route: barriers[at[node]]},
+					}, nil
+				},
+				SFSource: func(index int) func() *tensor.SufficientFactor {
+					if index != 1 {
+						return nil
 					}
-				}(node),
+					return func() *tensor.SufficientFactor {
+						u := tensor.NewMatrix(1, 2)
+						u.Fill(float32(node + 1))
+						v := tensor.NewMatrix(1, 3)
+						v.Fill(1)
+						return &tensor.SufficientFactor{U: u, V: v}
+					}
+				},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -310,26 +316,12 @@ func TestRouterRerouteRingRoundTrip(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				nextBarrier := 2
-				r.ArmReroute(nextBarrier)
 				for iter := 0; iter < iters; iter++ {
-					if to, ok := barriers[iter]; ok {
-						var err error
-						if node == 0 {
-							_, err = r.Reroute(iter, []ParamPlan{
-								{Index: 0, Rows: 4, Cols: 6, Route: RoutePS},
-								{Index: 1, Rows: 2, Cols: 3, Route: to},
-							})
-						} else {
-							_, err = r.AwaitReroute(iter)
-						}
-						if err != nil {
+					if _, ok := barriers[iter]; ok {
+						at[node] = iter
+						if _, err := plannedBarrier(r, iter); err != nil {
 							errs[node] = err
 							return
-						}
-						nextBarrier += 2
-						if nextBarrier < iters {
-							r.ArmReroute(nextBarrier)
 						}
 					}
 					r.WaitFor(iter)
@@ -392,14 +384,7 @@ func TestRouterRerouteRingRoundTrip(t *testing.T) {
 		for _, r := range routers {
 			r.Stop()
 		}
-		deadline := time.Now().Add(5 * time.Second)
-		for transport.OutstandingPayloadLeases() != baseline {
-			if time.Now().After(deadline) {
-				t.Fatalf("payload leases leaked across ring reroute: %d outstanding, baseline %d",
-					transport.OutstandingPayloadLeases(), baseline)
-			}
-			time.Sleep(time.Millisecond)
-		}
+		waitLeases(t, baseline)
 	}
 }
 

@@ -55,17 +55,18 @@ type Config struct {
 	Metrics *metrics.Comm
 
 	// SFSource returns the sufficient-factor extractor for a parameter
-	// index (nil if the parameter has none) — consulted when a reroute
+	// index (nil if the parameter has none) — consulted when a barrier
 	// moves a parameter onto RouteSFB after construction, where the
 	// initial plan carried no extractor for it. Optional; without it a
-	// reroute onto SFB fails.
+	// flip onto SFB fails.
 	SFSource func(index int) func() *tensor.SufficientFactor
 
 	// Elastic enables membership epochs: the mesh's synthetic lifecycle
 	// events (MsgPeerGone/MsgPeerUp) open a membership barrier instead
 	// of failing the run, syncers address peers through a dense view of
-	// the live members, and AwaitView commits view transitions. Requires
-	// a transport running in its own elastic mode.
+	// the live members, and Leave/Joining become available. Requires a
+	// transport running in its own elastic mode. Planned barriers
+	// (PlanView + AwaitView) work on fixed-size routers too.
 	Elastic bool
 	// View is the initial membership (must contain Mesh.Self()); the
 	// zero value means cluster.Initial(Mesh.N()). Ranks are transport
@@ -76,9 +77,10 @@ type Config struct {
 	// the leader's MsgView (which overwrites its parameters wholesale).
 	Joining bool
 	// PlanShape, when set, is consulted by the barrier leader to re-run
-	// the route planner for the successor member count; returning nil
-	// plans keeps the current routes. It must be deterministic — every
-	// node applies the leader's decision byte-for-byte.
+	// the route planner for the successor member count — the current
+	// count at a planned barrier that keeps its members; returning nil
+	// plans keeps the current routes. Every node applies the leader's decision
+	// byte-for-byte, so only the leader's answer matters.
 	PlanShape func(workers int) ([]ParamPlan, error)
 	// ScaleFor recomputes the update scale for a new member count
 	// (typically −LR/P). It must be identical on every node; without it
@@ -104,12 +106,13 @@ type Router struct {
 	scale     float32
 	staleness int
 
-	// Elastic membership state. raw is the real mesh in transport-rank
-	// space (mesh wraps it in a dense view when elastic); rank is this
-	// node's immutable transport rank. view, id, and n are guarded by
-	// viewMu for readers outside the compute/receive pair (pool workers
+	// View state. raw is the real mesh in transport-rank space (mesh
+	// wraps it in a dense view when elastic); rank is this node's
+	// immutable transport rank. view, id, and n are guarded by viewMu
+	// for readers outside the compute/receive pair (pool workers
 	// resolving queued sends); the barrier holds routeMu while writing,
 	// which orders the compute and receive goroutines by itself.
+	// deferred holds halts that cannot fold yet (see foldHaltLocked).
 	raw      transport.Mesh
 	rank     int
 	elastic  bool
@@ -117,7 +120,7 @@ type Router struct {
 	viewMu   sync.RWMutex
 	view     cluster.View
 	pendingV *pendingView
-	deferred []transport.Message
+	deferred []haltFrame
 	// viewFence is the restart iteration of the last committed view;
 	// data frames stamped below it are dead old-epoch traffic (their
 	// rounds were recomputed from the adopted replica) and are dropped
@@ -138,17 +141,15 @@ type Router struct {
 	bank       *sfb.Bank
 	sfSource   func(index int) func() *tensor.SufficientFactor
 
-	// Reroute state. routeMu serializes the receive loop's
-	// syncer-dispatch against the compute goroutine's barrier swap:
-	// while a barrier is armed, inbound data frames stamped with
-	// iterations at or past it are parked on pending.held (leases
-	// retained) and replayed — in arrival order — through the swapped
-	// syncers once the REPLAN decision is applied. routeCond wakes the
-	// barrier waiter when the decision frame arrives or the router
-	// fails.
+	// Barrier state. routeMu serializes the receive loop's
+	// syncer-dispatch against the compute goroutine's view change: while
+	// a barrier is open (pendingV), inbound data frames are parked with
+	// their leases and replayed — in arrival order — through the
+	// successor syncers once the leader's MsgView is applied. routeCond
+	// wakes the barrier waiter when a halt or the decision arrives or the
+	// router fails.
 	routeMu   sync.Mutex
 	routeCond *sync.Cond
-	pending   *pendingReroute
 
 	// metrics and the per-parameter counter blocks are nil unless the
 	// owner asked for live accounting (Config.Metrics).
@@ -175,16 +176,6 @@ type Router struct {
 	started   atomic.Bool
 }
 
-// pendingReroute is one armed replan barrier: data frames for
-// iterations >= barrier wait on held until the clock-stamped REPLAN
-// frame delivers the route decision and the barrier waiter applies it.
-type pendingReroute struct {
-	barrier int
-	held    []transport.Message
-	decided bool
-	routes  []Route
-}
-
 // fail records the first asynchronous error, poisons the clock so
 // compute loops blocked in WaitFor wake up and observe it instead of
 // hanging on synchronization that will never complete, and tells every
@@ -208,7 +199,7 @@ func (r *Router) failWith(err error, broadcast bool) {
 	}
 	r.errMu.Unlock()
 	r.clock.Abort()
-	// A compute loop parked at a reroute or membership barrier must
+	// A compute loop parked at a view-change barrier must
 	// observe the failure instead of waiting for a frame that will never
 	// arrive. The wakeup takes routeMu so it cannot slip into the
 	// window between a waiter's condition check and its Wait (the error
@@ -287,12 +278,7 @@ func NewRouter(cfg Config) (*Router, error) {
 		// A joiner parks every data frame from the moment the receive
 		// loop starts; the barrier resolves when the leader's MsgView
 		// adopts it (applyViewLocked rebuilds everything below anyway).
-		r.pendingV = &pendingView{
-			dead:    make(map[int]bool),
-			joined:  make(map[int]bool),
-			leavers: make(map[int]bool),
-			halts:   make(map[int]int),
-		}
+		r.pendingV = newPendingView()
 	}
 	r.routeCond = sync.NewCond(&r.routeMu)
 	if cfg.StartIter < 0 {
@@ -375,9 +361,9 @@ func NewRouter(cfg Config) (*Router, error) {
 
 // buildSyncer constructs the syncer executing plan, seeding any
 // server-side state from initial — the construction path shared by
-// NewRouter (initial parameters) and reroute barriers (the staged
-// replica, which at a drained barrier is the authoritative synchronized
-// value on every node).
+// NewRouter (initial parameters) and view changes (the staged replica,
+// which at a barrier is the authoritative synchronized value on every
+// node).
 func (r *Router) buildSyncer(plan ParamPlan, initial *tensor.Matrix) (Syncer, error) {
 	switch plan.Route {
 	case RoutePS:
@@ -508,13 +494,6 @@ func (r *Router) receiveLoop() {
 			}
 			continue
 		}
-		if msg.Type == transport.MsgReplan {
-			if err := r.handleReplanFrame(msg); err != nil {
-				r.fail(err)
-				return
-			}
-			continue
-		}
 		index := int(msg.Layer)
 		if index < 0 || index >= len(r.syncers) {
 			msg.ReleasePayload()
@@ -533,21 +512,13 @@ func (r *Router) receiveLoop() {
 			msg.ReleasePayload()
 			continue
 		}
-		if r.elastic && r.pendingV != nil {
-			// A membership barrier is open: hold every data frame (lease
-			// retained, transport rank preserved) until the successor
-			// view decides which survive the fence and under which
-			// dense ids they replay.
+		if r.pendingV != nil {
+			// A barrier is open: hold every data frame (lease retained,
+			// transport rank preserved) until the successor view decides
+			// which survive the fence and under which dense ids they
+			// replay, so post-barrier traffic never reaches a pre-barrier
+			// syncer.
 			r.pendingV.held = append(r.pendingV.held, msg)
-			r.routeMu.Unlock()
-			continue
-		}
-		if p := r.pending; p != nil && int(msg.Iter) >= p.barrier {
-			// The sender already crossed an armed replan barrier this
-			// node has not applied yet: park the frame (lease retained)
-			// until the swap, so post-barrier traffic never reaches a
-			// pre-barrier syncer.
-			p.held = append(p.held, msg)
 			r.routeMu.Unlock()
 			continue
 		}
@@ -574,222 +545,6 @@ func (r *Router) receiveLoop() {
 			return
 		}
 	}
-}
-
-// handleReplanFrame records the leader's route decision for the armed
-// barrier and wakes the compute goroutine waiting on it.
-func (r *Router) handleReplanFrame(msg transport.Message) error {
-	routes := make([]Route, len(msg.Payload))
-	for i, b := range msg.Payload {
-		routes[i] = Route(b)
-	}
-	msg.ReleasePayload()
-	r.routeMu.Lock()
-	defer r.routeMu.Unlock()
-	p := r.pending
-	if p == nil || p.barrier != int(msg.Iter) {
-		return fmt.Errorf("comm: REPLAN frame for barrier %d with no matching armed reroute", msg.Iter)
-	}
-	if p.decided {
-		return fmt.Errorf("comm: duplicate REPLAN frame for barrier %d", p.barrier)
-	}
-	if len(routes) != len(r.plans) {
-		return fmt.Errorf("comm: REPLAN frame names %d params, router has %d", len(routes), len(r.plans))
-	}
-	p.decided = true
-	p.routes = routes
-	r.routeCond.Broadcast()
-	return nil
-}
-
-// ArmReroute announces the next replan barrier: from this call on,
-// inbound data frames stamped with iterations >= barrier are parked
-// until the barrier's decision is applied (Reroute/AwaitReroute), so a
-// fast peer that crosses the barrier first cannot slip post-swap
-// traffic into pre-swap syncers. Call from the compute goroutine before
-// launching the first iteration of the epoch that ends at barrier;
-// arming while a barrier is still pending is a protocol bug and panics.
-//
-// That call site makes arming causally early enough on every node: a
-// peer can emit traffic for iterations >= barrier — data frames after
-// its own barrier, or the leader's REPLAN frame (sent only after the
-// leader's drain) — only once round barrier−1 completed at the leader
-// or at itself, and no round of the epoch can complete anywhere
-// without this node's own launch of that epoch iteration, which
-// follows this call. So by the time any such frame can exist, this
-// node is armed.
-func (r *Router) ArmReroute(barrier int) {
-	r.routeMu.Lock()
-	defer r.routeMu.Unlock()
-	if r.pending != nil {
-		panic("comm: ArmReroute with a reroute already pending")
-	}
-	if r.pendingV != nil {
-		panic("comm: ArmReroute during a membership change")
-	}
-	r.pending = &pendingReroute{barrier: barrier}
-}
-
-// Reroute executes the replan barrier at iteration barrier as the
-// deciding node: it broadcasts the route vector in a clock-stamped
-// REPLAN frame to every node (itself included, via loopback) and then
-// waits and applies exactly like a follower. The frame is the barrier
-// release, so it is sent even when the plan is unchanged — pass nil to
-// keep the current routes. plans must cover every parameter in index
-// order. Returns the number of flipped parameters.
-//
-// Precondition (both Reroute and AwaitReroute): the caller armed the
-// barrier earlier and has finished launching every iteration below it.
-func (r *Router) Reroute(barrier int, plans []ParamPlan) (int, error) {
-	routes := r.plans
-	if plans != nil {
-		if len(plans) != len(r.plans) {
-			return 0, fmt.Errorf("comm: reroute with %d plans for %d params", len(plans), len(r.plans))
-		}
-		routes = plans
-	}
-	// Drain BEFORE broadcasting: the local clock reaching barrier−1
-	// needs every peer's launch of iteration barrier−1 (every round of
-	// every parameter folds from all P contributions), and a peer only
-	// launches epoch iterations after arming the barrier — so once this
-	// returns, the frame below cannot reach an unarmed router. Sending
-	// first would race a slow-to-schedule peer's ArmReroute.
-	r.clock.WaitFor(barrier + r.staleness)
-	if err := r.Err(); err != nil {
-		return 0, err
-	}
-	ref := transport.LeasePayload(len(routes))
-	buf := ref.Bytes()
-	for _, p := range routes {
-		buf = append(buf, byte(p.Route))
-	}
-	ref.SetBytes(buf)
-	msg := transport.Message{
-		Type:    transport.MsgReplan,
-		Layer:   -1,
-		Iter:    int32(barrier),
-		Payload: ref.Bytes(),
-	}
-	msg.AttachLease(ref)
-	var sendErr error
-	for peer := 0; peer < r.n; peer++ {
-		ref.Retain()
-		m := msg
-		err := r.mesh.Send(peer, m)
-		m.ReleasePayload()
-		if err != nil && sendErr == nil {
-			sendErr = err
-		}
-	}
-	ref.Release()
-	if sendErr != nil {
-		r.fail(sendErr)
-		return 0, r.Err()
-	}
-	return r.AwaitReroute(barrier)
-}
-
-// AwaitReroute blocks at the replan barrier until the in-flight rounds
-// below it have drained locally and the leader's REPLAN frame has
-// arrived, then swaps the affected syncers and replays any parked
-// frames through them. Every non-deciding worker calls it at the same
-// iteration the leader calls Reroute; both return the number of
-// flipped parameters, identically on every node.
-func (r *Router) AwaitReroute(barrier int) (int, error) {
-	// Local drain: every parameter synchronized through barrier−1, i.e.
-	// no lease, decode scratch, or partial round of the outgoing plan is
-	// still live, and no further pre-barrier frame can arrive (a round
-	// this node serves cannot have completed elsewhere before every push
-	// reached it).
-	r.clock.WaitFor(barrier + r.staleness)
-	r.routeMu.Lock()
-	p := r.pending
-	if p == nil || p.barrier != barrier {
-		r.routeMu.Unlock()
-		if err := r.Err(); err != nil {
-			return 0, err
-		}
-		return 0, fmt.Errorf("comm: reroute barrier %d was never armed", barrier)
-	}
-	for !p.decided && r.Err() == nil {
-		r.routeCond.Wait()
-	}
-	r.pending = nil
-	held := p.held
-	if !p.decided {
-		// Failed mid-barrier: return the parked leases and surface the
-		// router error.
-		r.routeMu.Unlock()
-		for _, m := range held {
-			m.ReleasePayload()
-		}
-		return 0, r.Err()
-	}
-	flips, err := r.applyLocked(p)
-	// Replay parked frames in arrival order through the swapped syncers
-	// while still holding routeMu — the receive loop is excluded, so the
-	// per-goroutine scratch discipline of Handle is preserved.
-	for _, m := range held {
-		if err == nil {
-			if idx := int(m.Layer); idx < 0 || idx >= len(r.syncers) {
-				err = fmt.Errorf("comm: parked message for unknown param %d", idx)
-			} else {
-				err = r.syncers[idx].Handle(m)
-			}
-		}
-		m.ReleasePayload()
-	}
-	r.routeMu.Unlock()
-	if err != nil {
-		r.fail(err)
-	}
-	return flips, r.Err()
-}
-
-// applyLocked swaps every parameter whose decided route differs from
-// the live plan: the outgoing syncer releases its routing-owned state
-// (Syncer.Close), the successor is built against the staged replica —
-// identical on every node at a drained barrier, so re-seeded KV pairs
-// agree byte-for-byte — and the update ring is re-provisioned for the
-// new route. Caller holds routeMu.
-func (r *Router) applyLocked(p *pendingReroute) (int, error) {
-	flips := 0
-	for i, route := range p.routes {
-		if route == r.plans[i].Route {
-			continue
-		}
-		plan := r.plans[i]
-		from := plan.Route.String()
-		plan.Route = route
-		plan.SF = nil
-		if route == RouteSFB {
-			if r.sfSource != nil {
-				plan.SF = r.sfSource(i)
-			}
-			if plan.SF == nil {
-				return flips, fmt.Errorf("comm: reroute moved param %d (%s) to SFB without an SF source", i, plan.Name)
-			}
-		}
-		r.syncers[i].Close()
-		r.stageMu.Lock()
-		s, err := r.buildSyncer(plan, r.staged[i])
-		r.stageMu.Unlock()
-		if err != nil {
-			return flips, err
-		}
-		r.syncers[i] = s
-		r.plans[i] = plan
-		r.initRingSlot(i, plan)
-		if r.metrics != nil {
-			r.pstats[i].SetRoute(plan.Route.String())
-			r.metrics.RecordReplan(metrics.ReplanEvent{
-				Iter: p.barrier, Param: i, Name: plan.Name,
-				From: from, To: plan.Route.String(),
-			})
-		}
-		flips++
-	}
-	return flips, nil
 }
 
 // LaunchAll starts synchronization of every parameter for this
@@ -863,7 +618,7 @@ func (r *Router) Err() error {
 }
 
 // Stop drains the send pool and returns any leases still parked at an
-// unresolved reroute barrier (an aborted run can leave them behind).
+// unresolved barrier (an aborted run can leave them behind).
 // Call after the final WaitFor, when the protocol has quiesced; the
 // receive loop exits when the mesh closes.
 func (r *Router) Stop() {
@@ -871,18 +626,10 @@ func (r *Router) Stop() {
 		r.pool.close()
 	}
 	r.routeMu.Lock()
-	p := r.pending
-	r.pending = nil
 	pv := r.pendingV
 	r.pendingV = nil
-	deferred := r.deferred
 	r.deferred = nil
 	r.routeMu.Unlock()
-	if p != nil {
-		for _, m := range p.held {
-			m.ReleasePayload()
-		}
-	}
 	if pv != nil {
 		if pv.timer != nil {
 			pv.timer.Stop()
@@ -891,13 +638,10 @@ func (r *Router) Stop() {
 			m.ReleasePayload()
 		}
 	}
-	for _, m := range deferred {
-		m.ReleasePayload()
-	}
 }
 
 // Routes summarizes the live route of every parameter (for logging and
-// tests); after a replan barrier it reflects the swapped plan.
+// tests); after a barrier it reflects the successor plan.
 func (r *Router) Routes() []Route {
 	r.routeMu.Lock()
 	defer r.routeMu.Unlock()
@@ -910,7 +654,7 @@ func (r *Router) Routes() []Route {
 
 // EgressBytes sums the wire bytes this router's parameters have sent —
 // the reading the trainer's bandwidth estimator differences between
-// replan windows. Zero without metrics attached.
+// planned barriers. Zero without metrics attached.
 func (r *Router) EgressBytes() int64 {
 	var total int64
 	for _, ps := range r.pstats {

@@ -135,8 +135,9 @@ func (s *psSyncer) Launch(iter int, update *tensor.Matrix) error {
 
 // Close removes the chunks this node's shard owned for the parameter —
 // the successor route re-seeds whatever server state it needs from the
-// staged replica. The reroute barrier drained every round first, so no
-// pending contribution is dropped.
+// staged replica. A planned barrier drained every round first, so no
+// pending contribution is dropped; a membership barrier replaces the
+// whole shard anyway.
 func (s *psSyncer) Close() {
 	for _, spec := range s.chunks {
 		if spec.server == s.r.id {

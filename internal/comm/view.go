@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -14,14 +15,25 @@ import (
 	"repro/internal/transport"
 )
 
-// Membership epochs generalize the replan barrier to changes in WHO is
-// training, not just HOW parameters route. The protocol, end to end:
+// One barrier protocol serves every change to the round structure: a
+// change in WHO is training (a crash, a departure, a joiner) and a change
+// in HOW parameters route (a measured-bandwidth replan, which is a view
+// change that keeps its members). The protocol, end to end:
 //
 //  1. Trigger. The transport injects MsgPeerGone (a peer crashed) or
-//     MsgPeerUp (a joiner attached), a peer's MsgViewHalt arrives, or
-//     the local node calls Leave. The receive loop opens a pendingView,
-//     parks every subsequent data frame (leases retained), and
-//     interrupts the consistency clock so the compute loop unblocks.
+//     MsgPeerUp (a joiner attached), a peer's unplanned MsgViewHalt
+//     arrives, or the local node calls Leave. The receive loop opens a
+//     pendingView, parks every subsequent data frame (leases retained),
+//     and interrupts the consistency clock so the compute loop unblocks.
+//
+//     Planned trigger. At an iteration B every member agreed on in
+//     advance (a multiple of the replan interval), each member calls
+//     PlanView(B): it drains every round below B, then opens the
+//     barrier itself — no interrupt, since nothing is in flight. Its
+//     halt carries the planned bit: a peer that has not reached B yet
+//     defers the halt and keeps training up to B (opening the barrier
+//     early would park the frames it still needs), folding it in when
+//     it opens its own barrier there.
 //
 //  2. Halt. Each live member of the old view reaches AwaitView with the
 //     iteration it would have launched next and broadcasts that halt
@@ -31,20 +43,27 @@ import (
 //
 //  3. Decide. The leader (minimum live rank of the old view) collects
 //     a halt from every live old member, computes the successor view
-//     (old − dead − leavers + joiners) and the restart iteration
-//     (max of the halt iterations — no member launched past it, so
-//     every old-epoch frame is stamped below it), re-runs the route
-//     planner for the new shape, and broadcasts MsgView carrying the
-//     view, the restart iteration, the route vector, and its staged
-//     replica — the bytes every survivor and joiner adopts.
+//     (old − dead − leavers + joiners, always at epoch+1) and the
+//     restart iteration (max of the halt iterations — no member launched
+//     past it, so every old-epoch frame is stamped below it), asks
+//     PlanShape for the successor's routes, and broadcasts MsgView
+//     carrying the view, the restart iteration, the route vector, and —
+//     when the member set changed — its staged replica, the bytes every
+//     survivor and joiner adopts. At a planned barrier that nothing else
+//     joined the replicas already agree (every round below B drained),
+//     so no replica rides along.
 //
 //  4. Apply. On MsgView each member drains the send pool, adopts the
-//     leader's parameters, rebuilds shard/bank/syncers for the new
-//     size, rescales updates, resets the clock to the restart
-//     iteration, and replays parked frames — dropping those fenced
-//     below the restart iteration (their rounds are recomputed) and
-//     those from ranks outside the new view. A member absent from the
-//     view (a leaver, by request) returns Left instead of rebuilding.
+//     leader's parameters if they were shipped, and rebuilds what the
+//     decision changed: with a new member set, the shard, the bank and
+//     every syncer (dense ids moved, updates rescale); otherwise only
+//     the syncers whose route flipped, so 1-bit residuals and KV state
+//     survive a barrier that flips nothing. Every flip is logged. It
+//     then resets the clock to the restart iteration and replays parked
+//     frames — dropping those fenced below the restart iteration (their
+//     rounds are recomputed) and those from ranks outside the new view.
+//     A member absent from the view (a leaver, by request) returns Left
+//     instead of rebuilding.
 //
 // The fence needs no per-peer bookkeeping: a member only emits data
 // frames for iterations it launched, all below its own halt, so every
@@ -53,6 +72,10 @@ import (
 // which the leader sends only after collecting this node's halt — by
 // then this node is parked, so the frame is held and replayed, never
 // misdispatched.
+//
+// Fixed-size routers run planned barriers only: there are no lifecycle
+// events, Leave, or joiners, and the mesh is not wrapped in a dense
+// view (ranks already are the dense ids).
 
 // ViewChange reports one committed membership barrier to the caller.
 type ViewChange struct {
@@ -74,6 +97,7 @@ type pendingView struct {
 	leavers map[int]bool // ranks that announced voluntary departure
 	halts   map[int]int  // live old member rank → halt iteration
 	leave   bool         // this node wants out
+	planned bool         // opened by PlanView: the halt carries the planned bit
 
 	haltSent bool // this node broadcast its halt
 	composed bool // this node (as leader) broadcast MsgView
@@ -180,38 +204,51 @@ func (r *Router) Leave() error {
 		return fmt.Errorf("comm: Leave on a fixed-size router")
 	}
 	r.routeMu.Lock()
-	if !r.ensurePendingLocked() {
-		r.routeMu.Unlock()
-		return r.Err()
-	}
-	r.pendingV.leave = true
+	r.ensurePendingLocked().leave = true
 	r.routeCond.Broadcast()
 	r.routeMu.Unlock()
 	r.clock.Interrupt()
 	return nil
 }
 
-// ensurePendingLocked opens the membership barrier if none is open.
-// Caller holds routeMu. Returns false when the router cannot accept a
-// membership change (a replan barrier is armed — the two barriers do
-// not compose; the run fails with a clear error instead of deadlocking
-// with frames parked under two different fences).
-func (r *Router) ensurePendingLocked() bool {
-	if r.pendingV != nil {
-		return true
+// PlanView opens the planned view change at iteration barrier: it
+// drains every round below the barrier and then opens a same-members
+// barrier whose halt carries the planned bit (a transition already
+// pending absorbs it instead — the halt at barrier joins that one). The
+// caller follows with AwaitView(barrier), as at any membership barrier;
+// every member must plan the same barriers.
+func (r *Router) PlanView(barrier int) error {
+	r.clock.WaitFor(barrier + r.staleness)
+	if err := r.Err(); err != nil {
+		return err
 	}
-	if r.pending != nil {
-		r.failWith(fmt.Errorf("comm: membership change while replan barrier %d is armed — rerouting and membership epochs cannot overlap", r.pending.barrier), true)
-		return false
+	r.routeMu.Lock()
+	if r.pendingV == nil {
+		r.ensurePendingLocked().planned = true
 	}
-	r.pendingV = &pendingView{
+	r.routeMu.Unlock()
+	return nil
+}
+
+func newPendingView() *pendingView {
+	return &pendingView{
 		dead:    make(map[int]bool),
 		joined:  make(map[int]bool),
 		leavers: make(map[int]bool),
 		halts:   make(map[int]int),
 	}
-	r.armViewTimerLocked(r.pendingV)
-	return true
+}
+
+// ensurePendingLocked returns the open barrier, opening one (with its
+// timeout armed, and the halts deferred until it opened folded in) if
+// none is. Caller holds routeMu.
+func (r *Router) ensurePendingLocked() *pendingView {
+	if r.pendingV == nil {
+		r.pendingV = newPendingView()
+		r.armViewTimerLocked(r.pendingV)
+		r.refoldDeferredLocked()
+	}
+	return r.pendingV
 }
 
 func (r *Router) armViewTimerLocked(p *pendingView) {
@@ -239,18 +276,12 @@ func (r *Router) noteLifecycle(msg transport.Message) {
 		if !r.view.Contains(rank) {
 			return // already excluded (stale event for a removed rank)
 		}
-		if !r.ensurePendingLocked() {
-			return
-		}
-		r.pendingV.dead[rank] = true
+		r.ensurePendingLocked().dead[rank] = true
 	case transport.MsgPeerUp:
 		if r.view.Contains(rank) {
 			return // re-attachment of a current member is not a join
 		}
-		if !r.ensurePendingLocked() {
-			return
-		}
-		r.pendingV.joined[rank] = true
+		r.ensurePendingLocked().joined[rank] = true
 	}
 	r.routeCond.Broadcast()
 	r.clock.Interrupt()
@@ -258,36 +289,48 @@ func (r *Router) noteLifecycle(msg transport.Message) {
 
 // ---- MsgViewHalt -----------------------------------------------------------
 
+// Halt flag bits.
+const (
+	haltLeave   = 1 << 0
+	haltPlanned = 1 << 1
+)
+
+type haltPayload struct {
+	epoch   int // the epoch being left
+	leave   bool
+	planned bool
+	dead    []int
+	joined  []int
+}
+
 // appendHaltPayload encodes a halt announcement:
-// u32 epoch (the epoch being left) | u8 leave | u32 ndead | ranks |
+// u32 epoch | u8 flags (bit 0 leave, bit 1 planned) | u32 ndead | ranks |
 // u32 njoin | ranks.
-func appendHaltPayload(buf []byte, epoch int, leave bool, dead, joined []int) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(epoch))
-	if leave {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
+func appendHaltPayload(buf []byte, h haltPayload) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(h.epoch))
+	var flags byte
+	if h.leave {
+		flags |= haltLeave
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(dead)))
-	for _, d := range dead {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(d))
+	if h.planned {
+		flags |= haltPlanned
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(joined)))
-	for _, j := range joined {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(j))
+	buf = append(buf, flags)
+	for _, ranks := range [][]int{h.dead, h.joined} {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ranks)))
+		for _, rank := range ranks {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(rank))
+		}
 	}
 	return buf
 }
 
-type haltPayload struct {
-	epoch  int
-	leave  bool
-	dead   []int
-	joined []int
-}
-
+// decodeHaltPayload is the exact inverse of appendHaltPayload: unknown
+// flag bits and trailing bytes are rejected, so an accepted payload
+// re-encodes to the same bytes.
 func decodeHaltPayload(buf []byte) (haltPayload, error) {
 	var h haltPayload
+	short := fmt.Errorf("comm: short halt payload")
 	readU32 := func() (int, bool) {
 		if len(buf) < 4 {
 			return 0, false
@@ -298,23 +341,30 @@ func decodeHaltPayload(buf []byte) (haltPayload, error) {
 	}
 	epoch, ok := readU32()
 	if !ok || len(buf) < 1 {
-		return h, fmt.Errorf("comm: short halt payload")
+		return h, short
+	}
+	if buf[0]&^(haltLeave|haltPlanned) != 0 {
+		return h, fmt.Errorf("comm: unknown halt flags %#x", buf[0])
 	}
 	h.epoch = epoch
-	h.leave = buf[0] != 0
+	h.leave = buf[0]&haltLeave != 0
+	h.planned = buf[0]&haltPlanned != 0
 	buf = buf[1:]
 	for _, dst := range []*[]int{&h.dead, &h.joined} {
 		n, ok := readU32()
 		if !ok {
-			return h, fmt.Errorf("comm: short halt payload")
+			return h, short
 		}
 		for i := 0; i < n; i++ {
 			v, ok := readU32()
 			if !ok {
-				return h, fmt.Errorf("comm: short halt payload")
+				return h, short
 			}
 			*dst = append(*dst, v)
 		}
+	}
+	if len(buf) != 0 {
+		return h, fmt.Errorf("comm: %d trailing bytes after halt payload", len(buf))
 	}
 	return h, nil
 }
@@ -323,9 +373,9 @@ func decodeHaltPayload(buf []byte) (haltPayload, error) {
 // to every live member of the old view. Sends go over the raw mesh in
 // rank space; elastic transports drop sends to already-dead ranks
 // silently, so a racing crash cannot fail the halt.
-func (r *Router) broadcastHalt(old cluster.View, nextIter int, leave bool, dead, joined []int) error {
-	ref := transport.LeasePayload(13 + 4*(len(dead)+len(joined)))
-	ref.SetBytes(appendHaltPayload(ref.Bytes(), old.Epoch, leave, dead, joined))
+func (r *Router) broadcastHalt(old cluster.View, nextIter int, h haltPayload) error {
+	ref := transport.LeasePayload(13 + 4*(len(h.dead)+len(h.joined)))
+	ref.SetBytes(appendHaltPayload(ref.Bytes(), h))
 	msg := transport.Message{
 		Type:    transport.MsgViewHalt,
 		Layer:   -1,
@@ -335,7 +385,7 @@ func (r *Router) broadcastHalt(old cluster.View, nextIter int, leave bool, dead,
 	msg.AttachLease(ref)
 	var firstErr error
 	for _, m := range old.Members {
-		if m == r.rank || containsRank(dead, m) {
+		if m == r.rank || containsRank(h.dead, m) {
 			continue
 		}
 		ref.Retain()
@@ -359,51 +409,78 @@ func containsRank(ranks []int, r int) bool {
 	return false
 }
 
+// haltFrame is a decoded halt waiting in Router.deferred.
+type haltFrame struct {
+	from, iter int
+	h          haltPayload
+}
+
 // handleViewHalt folds a peer's halt into the barrier. Runs on the
-// receive goroutine. Halts for a future epoch (the sender already
-// applied a view this node hasn't) are deferred and refolded after the
-// local apply, so cascaded failures are not lost.
+// receive goroutine. A halt that cannot fold yet (see foldHaltLocked)
+// is deferred and refolded when a barrier opens or a view commits, so
+// cascaded failures and early planned halts are not lost.
 func (r *Router) handleViewHalt(msg transport.Message) error {
-	if !r.elastic {
-		msg.ReleasePayload()
-		return fmt.Errorf("comm: VIEWHALT from peer %d on a fixed-size router", msg.From)
-	}
 	h, err := decodeHaltPayload(msg.Payload)
+	msg.ReleasePayload()
 	if err != nil {
-		msg.ReleasePayload()
 		return err
+	}
+	if !r.elastic && (!h.planned || h.leave || len(h.dead) != 0 || len(h.joined) != 0) {
+		return fmt.Errorf("comm: membership halt from peer %d on a fixed-size router", msg.From)
 	}
 	r.routeMu.Lock()
 	defer r.routeMu.Unlock()
-	if h.epoch > r.view.Epoch {
-		r.deferred = append(r.deferred, msg) // lease retained until refold
-		return nil
+	if f := (haltFrame{from: int(msg.From), iter: int(msg.Iter), h: h}); !r.foldHaltLocked(f) {
+		r.deferred = append(r.deferred, f)
 	}
-	defer msg.ReleasePayload()
-	if h.epoch < r.view.Epoch || !r.view.Contains(int(msg.From)) {
-		return nil // stale: that transition already committed here
+	return nil
+}
+
+// foldHaltLocked folds one halt into the barrier, opening it if the
+// halt is unplanned. It reports false when the halt must wait: it was
+// sent from an epoch this node has not entered yet, or it is planned
+// and this node has not reached the barrier — opening it now would park
+// the data frames this node still needs to get there. Caller holds
+// routeMu.
+func (r *Router) foldHaltLocked(f haltFrame) bool {
+	switch {
+	case f.h.epoch < r.view.Epoch:
+		return true // stale: that transition already committed here
+	case f.h.epoch > r.view.Epoch, f.h.planned && r.pendingV == nil:
+		return false
+	case !r.view.Contains(f.from):
+		return true
 	}
-	if !r.ensurePendingLocked() {
-		return nil
+	p := r.ensurePendingLocked()
+	p.halts[f.from] = f.iter
+	if f.h.leave {
+		p.leavers[f.from] = true
 	}
-	p := r.pendingV
-	p.halts[int(msg.From)] = int(msg.Iter)
-	if h.leave {
-		p.leavers[int(msg.From)] = true
-	}
-	for _, d := range h.dead {
+	for _, d := range f.h.dead {
 		if r.view.Contains(d) {
 			p.dead[d] = true
 		}
 	}
-	for _, j := range h.joined {
+	for _, j := range f.h.joined {
 		if !r.view.Contains(j) {
 			p.joined[j] = true
 		}
 	}
 	r.routeCond.Broadcast()
 	r.clock.Interrupt()
-	return nil
+	return true
+}
+
+// refoldDeferredLocked retries every deferred halt against the current
+// epoch and barrier. Caller holds routeMu.
+func (r *Router) refoldDeferredLocked() {
+	deferred := r.deferred
+	r.deferred = nil
+	for _, f := range deferred {
+		if !r.foldHaltLocked(f) {
+			r.deferred = append(r.deferred, f)
+		}
+	}
 }
 
 // ---- MsgView ---------------------------------------------------------------
@@ -451,13 +528,13 @@ func (r *Router) composeViewLocked(p *pendingView) (*viewPayload, []int, error) 
 		}
 	}
 	pv := &viewPayload{view: next, restart: restart, routes: routes}
-	r.stageMu.Lock()
-	for _, m := range r.staged {
-		vals := make([]float32, len(m.Data))
-		copy(vals, m.Data)
-		pv.params = append(pv.params, vals)
+	if !slices.Equal(next.Members, r.view.Members) {
+		r.stageMu.Lock()
+		for _, m := range r.staged {
+			pv.params = append(pv.params, slices.Clone(m.Data))
+		}
+		r.stageMu.Unlock()
 	}
-	r.stageMu.Unlock()
 
 	// Recipients: every live old member (leavers included — MsgView is
 	// how they learn they are out) plus every joiner; not self.
@@ -494,6 +571,8 @@ func appendViewPayload(buf []byte, pv *viewPayload) []byte {
 	return buf
 }
 
+// decodeViewPayload is the exact inverse of appendViewPayload; trailing
+// bytes are rejected.
 func decodeViewPayload(buf []byte) (*viewPayload, error) {
 	view, rest, err := cluster.DecodeWire(buf)
 	if err != nil {
@@ -535,6 +614,9 @@ func decodeViewPayload(buf []byte) (*viewPayload, error) {
 		buf = buf[4*nvals:]
 		pv.params = append(pv.params, vals)
 	}
+	if len(buf) != 0 {
+		return nil, fmt.Errorf("comm: %d trailing bytes after VIEW payload", len(buf))
+	}
 	return pv, nil
 }
 
@@ -569,19 +651,15 @@ func (r *Router) sendView(pv *viewPayload, to []int) error {
 
 // handleViewFrame records the leader's decision. Runs on the receive
 // goroutine. Frames for epochs beyond the immediate successor are
-// deferred (pipelined transitions from fast peers); duplicates and
-// frames for already-committed epochs are dropped.
+// rejected unless this node is joining (it adopts whatever epoch the
+// cluster reached); duplicates and frames for already-committed epochs
+// are dropped.
 func (r *Router) handleViewFrame(msg transport.Message) error {
-	if !r.elastic {
-		msg.ReleasePayload()
-		return fmt.Errorf("comm: VIEW frame from peer %d on a fixed-size router", msg.From)
-	}
 	pv, err := decodeViewPayload(msg.Payload)
+	msg.ReleasePayload()
 	if err != nil {
-		msg.ReleasePayload()
 		return err
 	}
-	msg.ReleasePayload()
 	r.routeMu.Lock()
 	defer r.routeMu.Unlock()
 	switch {
@@ -590,13 +668,10 @@ func (r *Router) handleViewFrame(msg transport.Message) error {
 	case pv.view.Epoch > r.view.Epoch+1 && !r.joining:
 		return fmt.Errorf("comm: VIEW for epoch %d skips epoch %d", pv.view.Epoch, r.view.Epoch+1)
 	}
-	if !r.ensurePendingLocked() {
-		return nil
-	}
-	if r.pendingV.view == nil {
+	if p := r.ensurePendingLocked(); p.view == nil {
 		// First decision wins; a duplicate from a partitioned co-leader
 		// is dropped (split-brain on link-only failures is out of scope).
-		r.pendingV.view = pv
+		p.view = pv
 	}
 	r.routeCond.Broadcast()
 	r.clock.Interrupt()
@@ -605,33 +680,34 @@ func (r *Router) handleViewFrame(msg transport.Message) error {
 
 // ---- The barrier -----------------------------------------------------------
 
-// AwaitView runs the membership barrier from the compute goroutine.
-// nextIter is the iteration this node would launch next — its halt
-// iteration (every frame it has sent is stamped below it). The call
-// broadcasts the halt, waits for the leader's MsgView (composing and
-// broadcasting it itself when it is the minimum live rank), applies the
-// successor view, and returns it. A joining router passes any value; it
-// broadcasts nothing and simply waits to be adopted.
+// AwaitView runs the barrier from the compute goroutine. nextIter is the
+// iteration this node would launch next — its halt iteration (every
+// frame it has sent is stamped below it). The call broadcasts the halt,
+// waits for the leader's MsgView (composing and broadcasting it itself
+// when it is the minimum live rank), applies the successor view, and
+// returns it. A joining router passes any value; it broadcasts nothing
+// and simply waits to be adopted.
 func (r *Router) AwaitView(nextIter int) (ViewChange, error) {
-	if !r.elastic {
-		return ViewChange{}, fmt.Errorf("comm: AwaitView on a fixed-size router")
-	}
 	r.routeMu.Lock()
 	p := r.pendingV
 	if p == nil {
 		r.routeMu.Unlock()
-		return ViewChange{}, fmt.Errorf("comm: AwaitView with no membership change pending")
+		return ViewChange{}, fmt.Errorf("comm: AwaitView with no view change pending")
 	}
 	r.armViewTimerLocked(p)
 	if !r.joining && !p.haltSent {
 		p.haltSent = true
 		p.halts[r.rank] = nextIter
 		old := r.view.Clone()
-		leave := p.leave
-		dead := sortedRanks(p.dead)
-		joined := sortedRanks(p.joined)
+		h := haltPayload{
+			epoch:   old.Epoch,
+			leave:   p.leave,
+			planned: p.planned,
+			dead:    sortedRanks(p.dead),
+			joined:  sortedRanks(p.joined),
+		}
 		r.routeMu.Unlock()
-		if err := r.broadcastHalt(old, nextIter, leave, dead, joined); err != nil {
+		if err := r.broadcastHalt(old, nextIter, h); err != nil {
 			r.fail(err)
 			return ViewChange{}, r.Err()
 		}
@@ -644,7 +720,7 @@ func (r *Router) AwaitView(nextIter int) (ViewChange, error) {
 		}
 		if p.expired {
 			r.routeMu.Unlock()
-			err := fmt.Errorf("comm: membership barrier timed out after %v (halts from %v, dead %v)",
+			err := fmt.Errorf("comm: view-change barrier timed out after %v (halts from %v, dead %v)",
 				r.viewTimeout, sortedRanks(boolKeys(p.halts)), sortedRanks(p.dead))
 			r.fail(err)
 			return ViewChange{}, err
@@ -733,17 +809,24 @@ func (r *Router) applyViewLocked(p *pendingView) (ViewChange, error) {
 	if len(pv.routes) != len(r.plans) {
 		return ViewChange{}, fmt.Errorf("comm: VIEW names %d routes, router has %d params", len(pv.routes), len(r.plans))
 	}
-	if len(pv.params) != len(r.plans) {
-		return ViewChange{}, fmt.Errorf("comm: VIEW carries %d params, router has %d", len(pv.params), len(r.plans))
+	// The leader's replica rides along exactly when the member set
+	// changes (composeViewLocked); anything else is a leader that
+	// disagrees about the old view, and accepting it would skip or
+	// misapply the handoff silently.
+	reshape := !slices.Equal(r.view.Members, pv.view.Members)
+	if (reshape && len(pv.params) != len(r.plans)) || (!reshape && len(pv.params) != 0) {
+		return ViewChange{}, fmt.Errorf("comm: VIEW carries %d params for %v -> %v, router has %d", len(pv.params), r.view.Members, pv.view.Members, len(r.plans))
 	}
-	// Drain the egress backlog before the dense→rank table changes:
-	// queued sends must resolve under the epoch that produced them.
+	// Drain the egress backlog before syncers close and the dense→rank
+	// table changes: queued sends must resolve under the epoch that
+	// produced them.
 	if r.pool != nil {
 		r.pool.flush()
 	}
-	// Adopt the leader's replica. At a crash barrier local folds may
-	// have diverged (frames fenced out below arrived on some nodes and
-	// not others); adopting one authority keeps replicas byte-identical.
+	// Adopt the leader's replica when the member set changed. At a crash
+	// barrier local folds may have diverged (frames fenced out below
+	// arrived on some nodes and not others); adopting one authority
+	// keeps replicas byte-identical.
 	r.stageMu.Lock()
 	for i, vals := range pv.params {
 		if len(vals) != len(r.staged[i].Data) {
@@ -754,7 +837,28 @@ func (r *Router) applyViewLocked(p *pendingView) (ViewChange, error) {
 	}
 	r.stageMu.Unlock()
 
+	// Successor plans. A flipped route rebuilds its syncer; a new member
+	// set rebuilds every syncer, since the shard, the bank, and the dense
+	// ids they bind to all change. Outgoing syncers close under the old
+	// ids, releasing the server state they registered.
 	oldView := r.view
+	next := slices.Clone(r.plans)
+	rebuild := func(i int) bool { return reshape || next[i].Route != r.plans[i].Route }
+	for i := range next {
+		if route := Route(pv.routes[i]); route != next[i].Route {
+			next[i].Route, next[i].SF = route, nil
+			if route == RouteSFB && r.sfSource != nil {
+				next[i].SF = r.sfSource(i)
+			}
+			if route == RouteSFB && next[i].SF == nil {
+				return ViewChange{}, fmt.Errorf("comm: view moved param %d (%s) to SFB without an SF source", i, next[i].Name)
+			}
+		}
+		if rebuild(i) {
+			r.syncers[i].Close()
+		}
+	}
+
 	r.viewMu.Lock()
 	r.view = pv.view
 	r.id = pv.view.Index(r.rank)
@@ -765,44 +869,36 @@ func (r *Router) applyViewLocked(p *pendingView) (ViewChange, error) {
 	} else if oldView.Size() != r.n {
 		r.scale = r.scale * float32(oldView.Size()) / float32(r.n)
 	}
-
-	// Fresh server-side state for the new size; every syncer is rebuilt
-	// (the shard and bank they bind to changed even when the route did
-	// not), re-seeding KV pairs from the just-adopted replica so every
-	// node's shards agree byte-for-byte.
-	r.shard = kvstore.NewShard(r.n)
-	if r.metrics != nil {
-		r.shard.SetMetrics(r.metrics.KV())
+	if reshape {
+		// Fresh server-side state for the new membership; the rebuilt
+		// syncers re-seed KV pairs from the just-adopted replica, so every
+		// node's shards agree byte-for-byte.
+		r.shard = kvstore.NewShard(r.n)
+		if r.metrics != nil {
+			r.shard.SetMetrics(r.metrics.KV())
+		}
+		r.bank = sfb.NewBank()
 	}
-	r.bank = sfb.NewBank()
 	r.stageMu.Lock()
-	for i := range r.plans {
-		plan := r.plans[i]
-		if route := Route(pv.routes[i]); route != plan.Route {
-			plan.Route = route
-			plan.SF = nil
+	for i := range next {
+		if !rebuild(i) {
+			continue
 		}
-		if plan.Route == RouteSFB && plan.SF == nil {
-			if r.sfSource != nil {
-				plan.SF = r.sfSource(i)
-			}
-			if plan.SF == nil {
-				r.stageMu.Unlock()
-				return ViewChange{}, fmt.Errorf("comm: view moved param %d (%s) to SFB without an SF source", i, plan.Name)
-			}
-		}
-		s, err := r.buildSyncer(plan, r.staged[i])
+		s, err := r.buildSyncer(next[i], r.staged[i])
 		if err != nil {
 			r.stageMu.Unlock()
 			return ViewChange{}, err
 		}
-		oldRoute := r.plans[i].Route
-		r.syncers[i] = s
-		r.plans[i] = plan
-		r.initRingSlot(i, plan)
-		if r.metrics != nil && plan.Route != oldRoute {
-			r.pstats[i].SetRoute(plan.Route.String())
+		if from := r.plans[i].Route; from != next[i].Route && r.metrics != nil {
+			r.pstats[i].SetRoute(next[i].Route.String())
+			r.metrics.RecordReplan(metrics.ReplanEvent{
+				Iter: pv.restart, Param: i, Name: next[i].Name,
+				From: from.String(), To: next[i].Route.String(),
+			})
 		}
+		r.syncers[i] = s
+		r.plans[i] = next[i]
+		r.initRingSlot(i, next[i])
 	}
 	r.stageMu.Unlock()
 	r.clock.Reset(pv.restart)
@@ -836,7 +932,7 @@ func (r *Router) applyViewLocked(p *pendingView) (ViewChange, error) {
 		}
 	}
 
-	// Replay the parked frames through the rebuilt syncers, in arrival
+	// Replay the parked frames through the successor syncers, in arrival
 	// order. The iteration fence drops old-epoch traffic (all of it is
 	// stamped below the restart iteration — those rounds are recomputed
 	// from the adopted replica); frames from outside the view drop too.
@@ -860,24 +956,9 @@ func (r *Router) applyViewLocked(p *pendingView) (ViewChange, error) {
 	if err != nil {
 		return ViewChange{}, err
 	}
-	// Refold control frames that raced ahead of this commit (halts or a
-	// VIEW for the epoch we just entered — cascaded transitions).
-	deferred := r.deferred
-	r.deferred = nil
-	for i, m := range deferred {
-		switch m.Type {
-		case transport.MsgViewHalt:
-			// handleViewHalt re-takes routeMu; run the fold inline.
-			if err := r.refoldHaltLocked(m); err != nil {
-				for _, rest := range deferred[i+1:] {
-					rest.ReleasePayload()
-				}
-				return ViewChange{}, err
-			}
-		default:
-			m.ReleasePayload()
-		}
-	}
+	// Refold halts that raced ahead of this commit (a peer already
+	// halting in the epoch just entered — a cascaded transition).
+	r.refoldDeferredLocked()
 	// Events observed after the leader composed but folded into the old
 	// barrier: a member of the committed view that is already dead, or
 	// an attached rank the view left out. Re-arm so the next barrier
@@ -885,56 +966,18 @@ func (r *Router) applyViewLocked(p *pendingView) (ViewChange, error) {
 	var carry bool
 	for d := range p.dead {
 		if r.view.Contains(d) {
-			if r.ensurePendingLocked() {
-				r.pendingV.dead[d] = true
-				carry = true
-			}
+			r.ensurePendingLocked().dead[d] = true
+			carry = true
 		}
 	}
 	for j := range p.joined {
 		if !r.view.Contains(j) {
-			if r.ensurePendingLocked() {
-				r.pendingV.joined[j] = true
-				carry = true
-			}
+			r.ensurePendingLocked().joined[j] = true
+			carry = true
 		}
 	}
 	if carry {
 		r.clock.Interrupt()
 	}
 	return ViewChange{View: pv.view.Clone(), RestartIter: pv.restart}, nil
-}
-
-// refoldHaltLocked folds a deferred halt frame under the (now current)
-// epoch it was stamped for. Caller holds routeMu.
-func (r *Router) refoldHaltLocked(msg transport.Message) error {
-	h, err := decodeHaltPayload(msg.Payload)
-	if err != nil {
-		msg.ReleasePayload()
-		return err
-	}
-	defer msg.ReleasePayload()
-	if h.epoch != r.view.Epoch || !r.view.Contains(int(msg.From)) {
-		return nil
-	}
-	if !r.ensurePendingLocked() {
-		return nil
-	}
-	p := r.pendingV
-	p.halts[int(msg.From)] = int(msg.Iter)
-	if h.leave {
-		p.leavers[int(msg.From)] = true
-	}
-	for _, d := range h.dead {
-		if r.view.Contains(d) {
-			p.dead[d] = true
-		}
-	}
-	for _, j := range h.joined {
-		if !r.view.Contains(j) {
-			p.joined[j] = true
-		}
-	}
-	r.clock.Interrupt()
-	return nil
 }

@@ -247,6 +247,13 @@ func TestRouterViewChangeOnCrash(t *testing.T) {
 			len(ev.Joined) != 0 || len(ev.Left) != 0 {
 			t.Fatalf("node %d view-change event %+v", node, ev)
 		}
+		// The shape replan's flip is logged like a planned barrier's.
+		if len(snap.ReplanEvents) != 1 {
+			t.Fatalf("node %d logged %d route flips, want 1: %+v", node, len(snap.ReplanEvents), snap.ReplanEvents)
+		}
+		if e := snap.ReplanEvents[0]; e.Iter != 3 || e.Param != 1 || e.From != "PS" || e.To != "SFB" {
+			t.Fatalf("node %d route flip %+v, want param 1 PS→SFB at restart 3", node, e)
+		}
 	}
 	assertReplicasIdentical(t, survivors, shapes)
 
@@ -663,8 +670,11 @@ func TestRouterViewChangeJoin(t *testing.T) {
 	}
 }
 
-// The membership surface must reject fixed-size routers outright — a
-// protocol bug, not a hang.
+// Fixed-size routers run planned barriers (same members, next epoch)
+// but reject the membership surface — Leave, Joining, and halts that
+// carry membership observations — outright: a protocol bug, not a
+// hang. Any router rejects a VIEW whose replica handoff does not match
+// its member change.
 func TestRouterViewAPIFixedSize(t *testing.T) {
 	meshes := transport.NewChanCluster(1)
 	defer meshes[0].Close()
@@ -679,9 +689,6 @@ func TestRouterViewAPIFixedSize(t *testing.T) {
 	}
 	r.Start()
 	defer r.Stop()
-	if _, err := r.AwaitView(0); err == nil {
-		t.Fatal("AwaitView on a fixed-size router must error")
-	}
 	if err := r.Leave(); err == nil {
 		t.Fatal("Leave on a fixed-size router must error")
 	}
@@ -690,6 +697,56 @@ func TestRouterViewAPIFixedSize(t *testing.T) {
 	}
 	if got := r.View(); !got.Equal(cluster.Initial(1)) {
 		t.Fatalf("fixed-size router view %v, want %v", got, cluster.Initial(1))
+	}
+	// Planned barriers are the one view change a fixed-size router runs:
+	// same members, next epoch, restart at the barrier.
+	vc, err := plannedBarrier(r, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (cluster.View{Epoch: 1, Members: []int{0}}); !vc.View.Equal(want) || vc.RestartIter != 0 || vc.Left {
+		t.Fatalf("planned barrier committed %+v, want %v restart 0", vc, want)
+	}
+	// Halts: only a planned one without membership observations folds.
+	for _, tc := range []struct {
+		name string
+		h    haltPayload
+		ok   bool
+	}{
+		{"planned", haltPayload{epoch: 1, planned: true}, true},
+		{"unplanned", haltPayload{epoch: 1}, false},
+		{"planned leave", haltPayload{epoch: 1, planned: true, leave: true}, false},
+		{"planned dead", haltPayload{epoch: 1, planned: true, dead: []int{1}}, false},
+		{"planned joined", haltPayload{epoch: 1, planned: true, joined: []int{1}}, false},
+	} {
+		msg := transport.Message{Type: transport.MsgViewHalt, From: 0, Layer: -1, Iter: 4, Payload: appendHaltPayload(nil, tc.h)}
+		if err := r.handleViewHalt(msg); (err == nil) != tc.ok {
+			t.Fatalf("%s halt on a fixed-size router: err %v, want accepted=%v", tc.name, err, tc.ok)
+		}
+	}
+	r.routeMu.Lock()
+	r.deferred = nil // the accepted planned halt waits for a barrier that never opens
+	// VIEW: the replica rides along exactly when the members change.
+	for _, tc := range []struct {
+		name string
+		pv   viewPayload
+	}{
+		{"same members with params", viewPayload{
+			view: cluster.View{Epoch: 2, Members: []int{0}}, restart: 4,
+			routes: []byte{byte(RoutePS)}, params: [][]float32{make([]float32, 4)}}},
+		{"new members without params", viewPayload{
+			view: cluster.View{Epoch: 2, Members: []int{0, 1}}, restart: 4,
+			routes: []byte{byte(RoutePS)}}},
+	} {
+		p := &pendingView{view: &tc.pv, timer: time.NewTimer(time.Hour)}
+		if _, err := r.applyViewLocked(p); err == nil {
+			r.routeMu.Unlock()
+			t.Fatalf("VIEW %s applied", tc.name)
+		}
+	}
+	r.routeMu.Unlock()
+	if got := r.View(); got.Epoch != 1 {
+		t.Fatalf("rejected VIEWs moved the router to %v", got)
 	}
 	if _, err := NewRouter(Config{
 		Mesh:    meshes[0],

@@ -233,7 +233,7 @@ func (s *Shard) PushRoundInto(key string, round, worker int, update, dst []float
 // PS, the retiring syncer removes the chunks its shard owned. Callers
 // must have drained the pair's in-flight rounds first (a removed pair
 // with pending contributions would silently drop updates); the comm
-// layer's reroute barrier guarantees exactly that. Removing an unknown
+// layer's planned barrier guarantees exactly that. Removing an unknown
 // key is a no-op.
 func (s *Shard) Remove(key string) {
 	s.mu.Lock()

@@ -314,9 +314,9 @@ type Comm struct {
 	viewChanges []ViewChangeEvent
 }
 
-// ReplanEvent records one route flip applied at a replan barrier: from
-// iteration Iter on, parameter Param synchronizes over To instead of
-// From.
+// ReplanEvent records one route flip applied at a barrier (a planned
+// replan or a membership change): from iteration Iter on, parameter
+// Param synchronizes over To instead of From.
 type ReplanEvent struct {
 	Iter  int    `json:"iter"`
 	Param int    `json:"param"`
@@ -370,16 +370,17 @@ func (c *Comm) SnapshotIter() StallSnapshot {
 	return d
 }
 
-// RecordReplan logs one route flip applied at a replan barrier.
+// RecordReplan logs one route flip applied at a barrier.
 func (c *Comm) RecordReplan(e ReplanEvent) {
 	c.replanMu.Lock()
 	c.replans = append(c.replans, e)
 	c.replanMu.Unlock()
 }
 
-// ViewChangeEvent records one committed membership barrier: from
+// ViewChangeEvent records one committed view-change barrier: from
 // RestartIter on, the cluster is Members (epoch Epoch), after removing
-// the crashed (Dead) and departing (Left) ranks and admitting Joined.
+// the crashed (Dead) and departing (Left) ranks and admitting Joined. A
+// planned replan barrier keeps its members and lists none of the three.
 type ViewChangeEvent struct {
 	Epoch       int   `json:"epoch"`
 	RestartIter int   `json:"restart_iter"`
@@ -389,8 +390,8 @@ type ViewChangeEvent struct {
 	Left        []int `json:"left,omitempty"`
 }
 
-// RecordViewChange logs one committed membership transition and
-// advances the epoch counter.
+// RecordViewChange logs one committed view transition and advances the
+// epoch counter.
 func (c *Comm) RecordViewChange(e ViewChangeEvent) {
 	c.viewMu.Lock()
 	c.epoch = e.Epoch
@@ -452,15 +453,16 @@ type CommSnapshot struct {
 	Stall  StallSnapshot   `json:"stall"`
 	Params []ParamSnapshot `json:"params"`
 	Totals TotalsSnapshot  `json:"totals"`
-	// ReplanEvents lists every route flip applied at a replan barrier,
-	// in application order; empty when the run never replanned.
+	// ReplanEvents lists every route flip applied at a barrier, in
+	// application order; empty when no route ever changed.
 	ReplanEvents []ReplanEvent `json:"replan_events"`
 	// BWEstimateBPS is the planner's final EWMA wire-rate estimate
 	// (bytes/second); 0 on nodes that never folded an observation.
 	BWEstimateBPS float64 `json:"bw_estimate_bps"`
 	// MembershipEpoch is the cluster view epoch this node last
-	// committed (0 for a run that never changed membership);
-	// ViewChanges lists every committed membership barrier in order.
+	// committed (0 for a run that never passed a barrier);
+	// ViewChanges lists every committed barrier in order, planned ones
+	// included.
 	MembershipEpoch int               `json:"membership_epoch"`
 	ViewChanges     []ViewChangeEvent `json:"view_changes,omitempty"`
 	// Serve is the serving-plane block, present only on nodes that

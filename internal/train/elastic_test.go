@@ -1,12 +1,14 @@
 package train
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/metrics"
 	"repro/internal/transport"
 )
 
@@ -232,6 +234,74 @@ func TestElasticJoinExpandsCluster(t *testing.T) {
 	paramsIdentical(t, "member 0 vs joiner", results[0], results[2])
 }
 
+// TestElasticReplanWithLeave runs membership epochs and measured
+// replanning together: four workers start from a wrong bandwidth claim,
+// replan every four iterations, and one departs between two planned
+// barriers. The survivors finish byte-identical, agree on every route
+// flip (at least one: the in-process mesh is far faster than the
+// claim), and no payload lease outlives the run.
+func TestElasticReplanWithLeave(t *testing.T) {
+	baseline := transport.OutstandingPayloadLeases()
+	const n, iters, leaveAt = 4, 16, 6
+	cl := transport.NewElasticChanCluster(n)
+	base := Config{
+		Workers: n, Iters: iters, Batch: 3, LR: 0.05, Mode: Hybrid, Seed: 29,
+		Overlap:     true,
+		BuildNet:    mlpBuilder(16, []int{32}, 4),
+		TrainSet:    smallData(303, 256),
+		Bandwidth:   100e3, // far below the in-process mesh's real rate
+		Replan:      ReplanSpec{Every: 4, Alpha: 1},
+		Elastic:     true,
+		ViewTimeout: 20 * time.Second,
+	}
+	results := make([]*Result, n)
+	errs := make([]error, n)
+	mtrs := make([]*metrics.Comm, n)
+	var wg sync.WaitGroup
+	for r := 0; r < n; r++ {
+		r := r
+		cfg := base
+		mtrs[r] = metrics.NewComm()
+		cfg.Metrics = mtrs[r]
+		if r == n-1 {
+			cfg.LeaveAt = leaveAt
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[r], errs[r] = RunWorker(cfg, cl.Endpoint(r))
+		}()
+	}
+	wg.Wait()
+	cl.Close()
+	for r := 0; r < n; r++ {
+		if errs[r] != nil {
+			t.Fatalf("worker %d: %v", r, errs[r])
+		}
+	}
+	if !results[n-1].Left {
+		t.Fatal("leaver's result not marked Left")
+	}
+	ref := mtrs[0].Snapshot().ReplanEvents
+	if len(ref) < 1 {
+		t.Fatalf("no route flipped despite a 100 KB/s claim on an in-process mesh")
+	}
+	for r := 1; r < n-1; r++ {
+		paramsIdentical(t, fmt.Sprintf("survivor 0 vs %d", r), results[0], results[r])
+		if got := mtrs[r].Snapshot().ReplanEvents; fmt.Sprint(got) != fmt.Sprint(ref) {
+			t.Fatalf("survivors disagree on route flips:\nw0: %+v\nw%d: %+v", ref, r, got)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for transport.OutstandingPayloadLeases() != baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("payload leases leaked: %d outstanding, baseline %d",
+				transport.OutstandingPayloadLeases(), baseline)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestElasticConfigValidation pins the config surface: the elastic
 // fields are rejected in combinations the protocol cannot honor.
 func TestElasticConfigValidation(t *testing.T) {
@@ -244,7 +314,6 @@ func TestElasticConfigValidation(t *testing.T) {
 		name   string
 		mutate func(*Config)
 	}{
-		{"elastic with replan", func(c *Config) { c.Elastic = true; c.Replan.Every = 2 }},
 		{"joining without elastic", func(c *Config) { c.Joining = true }},
 		{"view without elastic", func(c *Config) { c.View = cluster.Initial(2) }},
 		{"leave without elastic", func(c *Config) { c.LeaveAt = 2 }},

@@ -1,10 +1,12 @@
 package train
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"repro/internal/metrics"
+	"repro/internal/transport"
 )
 
 // A run seeded with a deliberately wrong bandwidth estimate must
@@ -83,25 +85,80 @@ func TestReplanCorrectsWrongBandwidth(t *testing.T) {
 	}
 }
 
-// Replanning with SSP (staleness > 0) drains and swaps cleanly, and an
-// epoch not exceeding the staleness bound is rejected up front.
+// Replanning with SSP (staleness > 0) drains and swaps cleanly. At a
+// barrier every fourth iteration a fast worker runs ahead to the next
+// barrier while a slow one is still behind it, so the planned halt must
+// be held back until every member reaches the barrier; at a barrier
+// every iteration (planned barriers arm nothing ahead of time, so the
+// interval needs no slack over the staleness bound) each barrier drains
+// fully. Both runs end with byte-identical replicas.
 func TestReplanWithStaleness(t *testing.T) {
-	cfg := Config{
-		Workers: 3, Iters: 12, Batch: 2, LR: 0.05, Mode: Hybrid, Seed: 33,
-		Staleness: 1,
-		BuildNet:  mlpBuilder(16, []int{32}, 4),
-		TrainSet:  smallData(301, 120),
-		Bandwidth: 100e3,
-		Replan:    ReplanSpec{Every: 4, Alpha: 1},
+	for _, every := range []int{4, 1} {
+		cfg := Config{
+			Workers: 3, Iters: 12, Batch: 2, LR: 0.05, Mode: Hybrid, Seed: 33,
+			Staleness: 1,
+			BuildNet:  mlpBuilder(16, []int{32}, 4),
+			TrainSet:  smallData(301, 120),
+			Bandwidth: 100e3,
+			Replan:    ReplanSpec{Every: every, Alpha: 1},
+		}
+		meshes := make([]transport.Mesh, cfg.Workers)
+		for i, m := range transport.NewChanCluster(cfg.Workers) {
+			meshes[i] = m
+		}
+		results, err := RunOverAll(cfg, meshes)
+		if err != nil {
+			t.Fatalf("Every=%d: %v", every, err)
+		}
+		for w := 1; w < cfg.Workers; w++ {
+			paramsIdentical(t, fmt.Sprintf("Every=%d: worker 0 vs %d", every, w), results[0], results[w])
+		}
 	}
-	if _, err := Run(cfg); err != nil {
-		t.Fatal(err)
-	}
+}
 
-	bad := cfg
-	bad.Replan.Every = 1 // == staleness + 0: the arming could be outrun
-	if _, err := Run(bad); err == nil {
-		t.Fatal("replan interval <= staleness must be rejected")
+// A planned barrier that flips nothing is invisible to the math: PS-only
+// and 1-bit runs (whose policies never re-route) replanning every four
+// iterations produce loss curves and final parameters bit-identical to
+// the same runs without replanning — no round is lost at a barrier, and
+// the 1-bit residuals and KV shard state survive it.
+func TestReplanWithoutFlipsIsBitIdentical(t *testing.T) {
+	for _, mode := range []SyncMode{PSOnly, OneBit} {
+		base := Config{
+			Workers: 3, Iters: 14, Batch: 2, LR: 0.05, Mode: mode, Seed: 17,
+			Overlap:  true,
+			BuildNet: mlpBuilder(16, []int{32}, 4),
+			TrainSet: smallData(211, 256),
+		}
+		static, err := Run(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replanning := base
+		replanning.Replan = ReplanSpec{Every: 4, Alpha: 1}
+		replanning.Metrics = metrics.NewComm()
+		replanned, err := Run(replanning)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := replanning.Metrics.Snapshot()
+		if len(snap.ReplanEvents) != 0 {
+			t.Fatalf("%v: policy that never re-routes logged flips %+v", mode, snap.ReplanEvents)
+		}
+		// The registry is shared: each worker logs the barriers at 4, 8
+		// and 12.
+		if len(snap.ViewChanges) != 3*base.Workers {
+			t.Fatalf("%v: %d barrier commits logged, want 3 per worker", mode, len(snap.ViewChanges))
+		}
+		if len(replanned.Curve) != len(static.Curve) {
+			t.Fatalf("%v: curve lengths differ: %d vs %d", mode, len(replanned.Curve), len(static.Curve))
+		}
+		for i := range static.Curve {
+			if math.Float64bits(replanned.Curve[i].TrainLoss) != math.Float64bits(static.Curve[i].TrainLoss) {
+				t.Fatalf("%v iter %d: replanned loss %.17g vs static %.17g", mode, i,
+					replanned.Curve[i].TrainLoss, static.Curve[i].TrainLoss)
+			}
+		}
+		paramsIdentical(t, mode.String(), replanned, static)
 	}
 }
 

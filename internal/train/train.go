@@ -115,13 +115,16 @@ type Config struct {
 	Bandwidth float64
 
 	// Replan enables measured-bandwidth re-planning: every Replan.Every
-	// iterations the cluster drains to a round barrier, worker 0 folds
-	// the wire rate it actually measured into the planner's EWMA
-	// estimate, re-runs Algorithm 1 under it, and broadcasts the
-	// (possibly unchanged) routing decision in a clock-stamped REPLAN
-	// frame that every worker applies deterministically — so a cluster
-	// started with a mis-set Bandwidth converges onto the plan its real
-	// network deserves, with replicas staying byte-identical.
+	// iterations the cluster runs a planned view change that keeps its
+	// members — every worker drains to the barrier, the barrier leader
+	// (the lowest live rank) folds the wire rate it actually measured
+	// into the planner's EWMA estimate, re-runs Algorithm 1 under it, and
+	// broadcasts the (possibly unchanged) routes in the view frame that
+	// every worker applies deterministically — so a cluster started with
+	// a mis-set Bandwidth converges onto the plan its real network
+	// deserves, with replicas staying byte-identical. Composes with
+	// Elastic: a membership change landing near a planned barrier merges
+	// into it.
 	Replan ReplanSpec
 
 	// Metrics, when set, receives this worker's live communication
@@ -134,8 +137,9 @@ type Config struct {
 	// membership barrier, agree on a successor view, re-shard data and
 	// parameter state, and continue at the barrier's restart iteration.
 	// Workers and PS shards contract and expand together (shards are
-	// colocated with workers, as in the paper's deployments). Mutually
-	// exclusive with Replan: both protocols own the round barrier.
+	// colocated with workers, as in the paper's deployments). Membership
+	// barriers and Replan's planned barriers are one protocol, so the two
+	// combine freely.
 	Elastic bool
 	// View is the initial membership (zero value: all mesh ranks,
 	// cluster.Initial(mesh.N())). In an elastic run the mesh is sized
@@ -160,7 +164,8 @@ type Config struct {
 	// barrier, and returns with Result.Left set once excluded.
 	LeaveAt int
 	// OnViewChange, when set, is called from the compute goroutine
-	// after each membership barrier commits, with the successor view
+	// after each barrier commits (membership transitions and planned
+	// replan barriers alike), with the successor view
 	// and a deep copy of the adopted replica — the snapshot a parity
 	// reference run continues from.
 	OnViewChange func(ViewEvent)
@@ -219,9 +224,7 @@ type ViewEvent struct {
 // ReplanSpec configures measured-bandwidth re-planning (Config.Replan).
 type ReplanSpec struct {
 	// Every is the epoch length in iterations: each multiple of it is a
-	// replan barrier. 0 disables replanning. Must exceed Staleness —
-	// barriers are armed one epoch ahead, and an epoch shorter than the
-	// staleness window could let a fast worker outrun the arming.
+	// planned barrier. 0 disables replanning.
 	Every int
 	// Alpha is the EWMA weight of the newest bandwidth observation
 	// (0 = poseidon.DefaultReplanAlpha).
@@ -361,9 +364,6 @@ func (w *worker) snapshotBarrier(iter int, params []*tensor.Matrix) {
 
 func (w *worker) run() (*Result, error) {
 	cfg := w.cfg
-	if cfg.Elastic && cfg.Replan.Every > 0 {
-		return nil, fmt.Errorf("train: membership epochs and measured replanning both own the round barrier; enable one")
-	}
 	if !cfg.Elastic {
 		if cfg.Joining {
 			return nil, fmt.Errorf("train: Joining requires Elastic")
@@ -409,15 +409,10 @@ func (w *worker) run() (*Result, error) {
 	}
 
 	mtr := cfg.Metrics
-	if cfg.Replan.Every > 0 {
-		if cfg.Replan.Every <= cfg.Staleness {
-			return nil, fmt.Errorf("train: replan interval %d must exceed staleness %d", cfg.Replan.Every, cfg.Staleness)
-		}
-		if mtr == nil {
-			// The bandwidth estimator differences the router's egress
-			// counters, which exist only with metrics attached.
-			mtr = metrics.NewComm()
-		}
+	if cfg.Replan.Every > 0 && mtr == nil {
+		// The bandwidth estimator differences the router's egress
+		// counters, which exist only with metrics attached.
+		mtr = metrics.NewComm()
 	}
 
 	params := w.net.Params()
@@ -438,6 +433,12 @@ func (w *worker) run() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The measurement window a planned barrier's bandwidth observation
+	// covers: egress bytes and wall time from the previous barrier to
+	// this worker's arrival at the next one, before its drain, so time
+	// spent waiting at the barrier does not read as a slow wire.
+	var winStart, winEnd time.Time
+	var winBytes, winEndBytes int64
 	rcfg := comm.Config{
 		Mesh:   w.mesh,
 		Plans:  plans,
@@ -451,9 +452,32 @@ func (w *worker) run() (*Result, error) {
 		PoolWorkers: cfg.PoolWorkers,
 		StartIter:   cfg.StartIter,
 		Metrics:     mtr,
-		// Reroutes can move a parameter onto SFB after construction; the
+		// A barrier can move a parameter onto SFB after construction; the
 		// router re-attaches the extractor through this source.
 		SFSource: func(index int) func() *tensor.SufficientFactor { return sfFor[index] },
+		// The barrier leader re-runs Algorithm 1 and broadcasts the routes
+		// with the view, so replicas stay byte-identical through the
+		// transition: for a new member count, under the new shape; for
+		// the same count (a planned barrier), under the bandwidth this
+		// worker measured since the previous barrier.
+		PlanShape: func(workers int) ([]comm.ParamPlan, error) {
+			if workers != w.n {
+				return planner.ReplanShape(poseidon.ClusterShape{Workers: workers, Servers: workers, Batch: cfg.Batch})
+			}
+			end, bytes := winEnd, winEndBytes
+			if end.IsZero() { // an unplanned barrier: the window ends now
+				end, bytes = time.Now(), w.router.EgressBytes()
+			}
+			elapsed := end.Sub(winStart).Seconds()
+			if cfg.Replan.Every == 0 || elapsed <= 0 {
+				return nil, nil
+			}
+			plans := planner.Replan(poseidon.BandwidthObservation{
+				BytesPerSec: float64(bytes-winBytes) / elapsed,
+			})
+			mtr.SetBandwidthEstimate(planner.BandwidthEstimate())
+			return plans, nil
+		},
 	}
 	if cfg.Elastic {
 		rcfg.Elastic = true
@@ -463,12 +487,6 @@ func (w *worker) run() (*Result, error) {
 		// Contraction and expansion rescale each worker's contribution so
 		// the cluster-wide update stays −LR · mean over all live samples.
 		rcfg.ScaleFor = func(workers int) float32 { return -cfg.LR / float32(workers) }
-		// The barrier leader re-runs Algorithm 1 for the successor shape
-		// and broadcasts the routes with the view, so replicas stay
-		// byte-identical through the transition.
-		rcfg.PlanShape = func(workers int) ([]comm.ParamPlan, error) {
-			return planner.ReplanShape(poseidon.ClusterShape{Workers: workers, Servers: workers, Batch: cfg.Batch})
-		}
 	}
 	router, err := comm.NewRouter(rcfg)
 	if err != nil {
@@ -493,35 +511,26 @@ func (w *worker) run() (*Result, error) {
 		}()
 	}
 
-	// Replan barriers: armed one epoch ahead so post-barrier frames from
-	// fast peers park instead of reaching pre-barrier syncers; worker 0
-	// measures, re-plans, and broadcasts the decision at each one. A
-	// continuation run (StartIter > 0) arms the first barrier past its
-	// starting point.
-	nextBarrier := 0
-	if cfg.Replan.Every > 0 {
-		nextBarrier = (cfg.StartIter/cfg.Replan.Every + 1) * cfg.Replan.Every
-		if nextBarrier >= cfg.Iters {
-			nextBarrier = 0 // no barriers left; nothing to arm
-		} else {
-			router.ArmReroute(nextBarrier)
+	// Planned barriers fall on the multiples of Replan.Every past the
+	// iteration the run (or its last view change) started at — a rule
+	// every member evaluates identically, restart iterations included.
+	barrierAfter := func(iter int) int {
+		if cfg.Replan.Every <= 0 {
+			return -1
 		}
+		return (iter/cfg.Replan.Every + 1) * cfg.Replan.Every
 	}
-	winStart := time.Now()
-	winBytes := router.EgressBytes()
+	barrier := barrierAfter(cfg.StartIter)
+	winStart = time.Now()
+	winBytes = router.EgressBytes()
 
 	res := &Result{Mode: cfg.Mode}
 	leaveSent := false
 	for iter := cfg.StartIter; ; {
-		if nextBarrier > 0 && iter == nextBarrier {
-			if err := w.replanBarrier(iter, planner, mtr, &winStart, &winBytes); err != nil {
+		if iter == barrier && iter < cfg.Iters {
+			winEnd, winEndBytes = time.Now(), router.EgressBytes()
+			if err := router.PlanView(iter); err != nil {
 				return nil, err
-			}
-			nextBarrier += cfg.Replan.Every
-			if nextBarrier >= cfg.Iters {
-				nextBarrier = 0 // no more barriers; nothing left to arm
-			} else {
-				router.ArmReroute(nextBarrier)
 			}
 		}
 		if cfg.LeaveAt > 0 && iter >= cfg.LeaveAt && !leaveSent {
@@ -538,7 +547,10 @@ func (w *worker) run() (*Result, error) {
 		} else {
 			router.WaitFor(cfg.Iters + cfg.Staleness)
 		}
-		if cfg.Elastic && router.ViewPending() {
+		// A fixed-size router only ever has the planned barrier opened
+		// just above pending, so the check stays off its per-iteration
+		// path.
+		if (cfg.Elastic || iter == barrier) && router.ViewPending() {
 			vc, err := router.AwaitView(iter)
 			if err != nil {
 				return nil, err
@@ -551,6 +563,9 @@ func (w *worker) run() (*Result, error) {
 				return nil, err
 			}
 			iter = vc.RestartIter
+			barrier = barrierAfter(iter)
+			winStart, winEnd = time.Now(), time.Time{}
+			winBytes = router.EgressBytes()
 			continue
 		}
 		if err := router.Err(); err != nil {
@@ -601,13 +616,14 @@ func (w *worker) run() (*Result, error) {
 	return res, nil
 }
 
-// applyView rebinds the worker to a committed membership view: dense
-// index, member count, data shard, and the planner's cluster shape.
-// The local replan keeps this member's planner consistent with the one
-// the barrier leader consulted, so any member can lead the next
-// barrier; the routes themselves were already adopted from the leader's
-// broadcast inside the router.
+// applyView rebinds the worker to a committed view: dense index, member
+// count, data shard, and — when the count changed — the planner's
+// cluster shape. The local reshape keeps this member's planner
+// consistent with the one the barrier leader consulted, so any member
+// can lead the next barrier; the routes themselves were already adopted
+// from the leader's broadcast inside the router.
 func (w *worker) applyView(vc comm.ViewChange, planner *poseidon.Planner, params []*tensor.Matrix) error {
+	resized := vc.View.Size() != w.n
 	w.id = vc.View.Index(w.rank)
 	w.n = vc.View.Size()
 	w.epoch = vc.View.Epoch
@@ -615,8 +631,10 @@ func (w *worker) applyView(vc comm.ViewChange, planner *poseidon.Planner, params
 		return fmt.Errorf("train: rank %d missing from committed view %v", w.rank, vc.View.Members)
 	}
 	w.local = w.cfg.TrainSet.Shard(w.id, w.n)
-	if _, err := planner.ReplanShape(poseidon.ClusterShape{Workers: w.n, Servers: w.n, Batch: w.cfg.Batch}); err != nil {
-		return err
+	if resized {
+		if _, err := planner.ReplanShape(poseidon.ClusterShape{Workers: w.n, Servers: w.n, Batch: w.cfg.Batch}); err != nil {
+			return err
+		}
 	}
 	if w.cfg.OnViewChange != nil {
 		// Snapshot the adopted replica for the hook — the state a parity
@@ -629,35 +647,6 @@ func (w *worker) applyView(vc comm.ViewChange, planner *poseidon.Planner, params
 		}
 		w.cfg.OnViewChange(ev)
 	}
-	return nil
-}
-
-// replanBarrier executes one replan round barrier at iteration barrier.
-// Worker 0 turns the egress bytes it moved since the previous barrier
-// into a bandwidth observation, folds it into the planner's EWMA, and
-// broadcasts the resulting decision; everyone else waits for that
-// decision. Both sides apply it identically, then restart the
-// measurement window.
-func (w *worker) replanBarrier(barrier int, planner *poseidon.Planner, mtr *metrics.Comm, winStart *time.Time, winBytes *int64) error {
-	var err error
-	if w.id == 0 {
-		var plans []comm.ParamPlan
-		if elapsed := time.Since(*winStart).Seconds(); elapsed > 0 {
-			obs := poseidon.BandwidthObservation{
-				BytesPerSec: float64(w.router.EgressBytes()-*winBytes) / elapsed,
-			}
-			plans = planner.Replan(obs)
-			mtr.SetBandwidthEstimate(planner.BandwidthEstimate())
-		}
-		_, err = w.router.Reroute(barrier, plans)
-	} else {
-		_, err = w.router.AwaitReroute(barrier)
-	}
-	if err != nil {
-		return err
-	}
-	*winStart = time.Now()
-	*winBytes = w.router.EgressBytes()
 	return nil
 }
 

@@ -67,10 +67,12 @@ func recvType(t *testing.T, m Mesh, want MsgType) Message {
 	panic("unreachable")
 }
 
+// Synthetic lifecycle types never travel the wire, and the retired
+// route-switch byte stays reserved: decode rejects all of them.
 func TestSyntheticLifecycleTypesRejectedOnWire(t *testing.T) {
-	for _, typ := range []MsgType{MsgPeerGone, MsgPeerUp} {
+	for _, typ := range []MsgType{MsgPeerGone, MsgPeerUp, msgRetired} {
 		if _, err := decode(encode(Message{Type: typ, From: 1})); err == nil {
-			t.Fatalf("synthetic type %#x decoded from the wire", typ)
+			t.Fatalf("type %#x decoded from the wire", typ)
 		}
 	}
 }

@@ -36,24 +36,25 @@ const (
 	MsgBarrier
 	// MsgControl carries trainer control information (stop, config).
 	MsgControl
-	// MsgReplan carries a clock-stamped routing-plan switch: Iter names
-	// the first iteration governed by the new plan and the payload holds
-	// one route byte per synchronized parameter. Every worker applies the
-	// same frame at the same round barrier, which is what keeps replicas
-	// byte-identical across a mid-training re-route.
-	MsgReplan
+	// msgRetired is the byte of the former route-switch frame; route
+	// changes now ride MsgView at a planned view change. It stays
+	// reserved so the types after it keep their wire values, and decode
+	// rejects it.
+	msgRetired
 	// MsgViewHalt announces that the sender has parked at a membership
 	// barrier: Iter is the next iteration it would have launched (the
 	// view leader restarts the cluster at the max over all halts) and the
 	// payload carries the dead/joined rank sets it has observed plus a
-	// graceful-leave flag (see internal/comm's view-change protocol).
+	// flag byte (graceful leave; planned barrier — receivers that have
+	// not reached it keep training instead of halting early). See
+	// internal/comm's view-change protocol.
 	MsgViewHalt
-	// MsgView carries the leader's decided membership epoch: the new
-	// cluster.View, the restart iteration (also in Iter), the route byte
-	// per parameter for the re-planned shape, and the leader's staged
-	// replica bytes — the state handoff every member (and joiner) adopts
-	// verbatim, which is what keeps replicas byte-identical across the
-	// transition.
+	// MsgView carries the leader's decided epoch: the new cluster.View,
+	// the restart iteration (also in Iter), the route byte per parameter
+	// for the re-planned shape, and — when the member set changes — the
+	// leader's staged replica bytes, the state handoff every member (and
+	// joiner) adopts verbatim, which is what keeps replicas byte-identical
+	// across the transition.
 	MsgView
 	// MsgRingReduce carries one partially-reduced segment of a ring
 	// all-reduce to the next worker on the chain (Chunk names the
@@ -166,7 +167,7 @@ func decode(buf []byte) (Message, error) {
 	if len(buf) < headerLen {
 		return Message{}, fmt.Errorf("transport: short frame: %d bytes", len(buf))
 	}
-	if t := MsgType(buf[0]); (t < MsgPush || t > MsgRingGather) && t != msgGoodbye {
+	if t := MsgType(buf[0]); (t < MsgPush || t > MsgRingGather || t == msgRetired) && t != msgGoodbye {
 		return Message{}, fmt.Errorf("transport: unknown message type %d", t)
 	}
 	return Message{

@@ -188,8 +188,8 @@ func (b *Builder) Replan(spec ReplanSpec) *Builder { b.cfg.Replan = spec; return
 // Elastic enables membership epochs: a peer failure or voluntary
 // departure no longer aborts the run — the members drain to a
 // membership barrier, agree on a successor view, re-shard state, and
-// continue. Mutually exclusive with Replan (both protocols own the
-// round barrier).
+// continue. Combines with Replan: a replan is a planned view change that
+// keeps its members, so both run through the same barrier.
 func (b *Builder) Elastic(on bool) *Builder { b.cfg.Elastic = on; return b }
 
 // Members names the ranks actually serving at epoch 0 of an elastic
@@ -229,9 +229,11 @@ func (b *Builder) ResumeFrom(iter int, params [][]float32) *Builder {
 	return b
 }
 
-// OnMembershipChange streams every committed membership transition —
+// OnMembershipChange streams every committed barrier — membership
+// transitions and the planned barriers of measured-bandwidth
+// replanning, which keep the members but advance the epoch — with the
 // successor view, restart iteration, and a deep copy of the adopted
-// replica — as the run produces it (called from the worker's compute
+// replica, as the run produces it (called from the worker's compute
 // goroutine; keep it fast).
 func (b *Builder) OnMembershipChange(fn func(MembershipEvent)) *Builder {
 	b.onView = fn
@@ -299,12 +301,6 @@ func (b *Builder) Build() (*Session, error) {
 	if cfg.TrainSet == nil {
 		return nil, fmt.Errorf("poseidon: no training data (Builder.Data)")
 	}
-	if cfg.Replan.Every > 0 && cfg.Replan.Every <= cfg.Staleness {
-		return nil, fmt.Errorf("poseidon: replan interval %d must exceed staleness %d", cfg.Replan.Every, cfg.Staleness)
-	}
-	if cfg.Elastic && cfg.Replan.Every > 0 {
-		return nil, fmt.Errorf("poseidon: membership epochs and measured replanning both own the round barrier; enable one")
-	}
 	if !cfg.Elastic && (cfg.Joining || cfg.LeaveAt > 0 || cfg.View.Size() > 0) {
 		return nil, fmt.Errorf("poseidon: Members/Joining/LeaveAt need Builder.Elastic")
 	}
@@ -338,17 +334,16 @@ func (b *Builder) Build() (*Session, error) {
 	} else {
 		s.view = cluster.Initial(cfg.Workers)
 	}
-	if cfg.Elastic {
-		// The session tracks the committed view so View() stays truthful
-		// across barriers; the user's hook runs after the update.
-		userFn := b.onView
-		s.cfg.OnViewChange = func(ev MembershipEvent) {
-			s.viewMu.Lock()
-			s.view = ev.View.Clone()
-			s.viewMu.Unlock()
-			if userFn != nil {
-				userFn(ev)
-			}
+	// The session tracks the committed view so View() stays truthful
+	// across barriers, planned ones included; the user's hook runs after
+	// the update.
+	userFn := b.onView
+	s.cfg.OnViewChange = func(ev MembershipEvent) {
+		s.viewMu.Lock()
+		s.view = ev.View.Clone()
+		s.viewMu.Unlock()
+		if userFn != nil {
+			userFn(ev)
 		}
 	}
 	if b.collect {
@@ -434,8 +429,10 @@ type Session struct {
 }
 
 // View returns the current membership view: the initial one before the
-// run starts, then each committed successor as membership barriers
-// resolve. Fixed-size sessions report the full mesh at epoch 0 forever.
+// run starts, then each committed successor as barriers resolve. A
+// planned replan barrier keeps the members and advances the epoch, so
+// a fixed-size session reports the full mesh, at epoch 0 unless it
+// replans.
 func (s *Session) View() View {
 	if s == nil {
 		return View{}

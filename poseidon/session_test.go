@@ -136,6 +136,12 @@ func TestSessionReplans(t *testing.T) {
 	if snap.BWEstimateBPS <= 100e3 {
 		t.Fatalf("bw_estimate_bps %g did not correct upward", snap.BWEstimateBPS)
 	}
+	// The planned barrier at iteration 6 keeps the members and advances
+	// the epoch; View() agrees with the metrics even on a fixed-size
+	// session.
+	if v := sess.View(); v.Epoch != 1 || v.Epoch != snap.MembershipEpoch || v.Size() != 4 {
+		t.Fatalf("View() %v after one planned barrier, metrics epoch %d", v, snap.MembershipEpoch)
+	}
 }
 
 // ParseRouteOverrides accepts the worker's -route syntax and rejects
